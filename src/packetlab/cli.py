@@ -195,14 +195,8 @@ def _cmd_relations(args) -> int:
     return EXIT_OK
 
 
-def _problem(family: str, alpha: float, beta: float, M: int) -> pencil_mod.PencilProblem:
-    if family == "circle":
-        return pencil_mod.circle_problem(alpha, beta, M)
-    return pencil_mod.oscillator_problem(alpha, beta, M)
-
-
 def _cmd_pencil(args) -> int:
-    problem = _problem(args.family, args.alpha, args.beta, args.truncation)
+    problem = pencil_mod._family_problem(args.family, args.alpha, args.beta, args.truncation)
     sol = pencil_mod.solve_pencil(problem)
     if args.output == "csv":
         rows = ["re,im,axisDistance,tailMass,residual,physical"]
@@ -229,6 +223,14 @@ def _cmd_pencil(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if not all(math.isfinite(x) for x in (args.alpha_min, args.alpha_max, args.alpha_step)):
+        raise ValueError("--alpha-min, --alpha-max and --alpha-step must be finite")
+    if args.alpha_step <= 0:
+        raise ValueError(f"--alpha-step must be positive, got {args.alpha_step}")
+    if args.alpha_min > args.alpha_max:
+        raise ValueError(
+            f"--alpha-min {args.alpha_min} exceeds --alpha-max {args.alpha_max}"
+        )
     n = int(math.floor((args.alpha_max - args.alpha_min) / args.alpha_step + 0.5)) + 1
     alphas = args.alpha_min + args.alpha_step * np.arange(n)
     workers = int(os.environ.get("PACKETLAB_THREADS", "1"))
@@ -243,7 +245,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_floor(args) -> int:
-    problem = _problem(args.family, 0.0, 0.0, args.truncation)
+    problem = pencil_mod._family_problem(args.family, 0.0, 0.0, args.truncation)
     floor, state = pencil_mod.uncertainty_floor(problem.A, args.alpha)
     if args.output == "csv":
         _emit("alpha,floor\n" + f"{_f17(args.alpha)},{_f17(floor)}", args.out)

@@ -80,10 +80,6 @@ class OperatorMatrix:
             raise ValueError(f"entries shape {e.shape} != ({d}, {d})")
         object.__setattr__(self, "entries", _freeze(e))
 
-    @property
-    def is_diagonal(self) -> bool:
-        return bool(np.all(self.entries == np.diag(np.diagonal(self.entries))))
-
 
 def _shift_pair(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowering shift E- (ones on the superdiagonal) and its adjoint E+."""

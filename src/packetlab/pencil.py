@@ -8,14 +8,24 @@ In a truncated basis that is the generalized eigenproblem
 
 and the physical solutions are the eigenpairs whose eigenvalue is purely
 imaginary, lambda = i S with S > 0: for such eigenvalues the Hermitian
-quadratic forms force <A> = alpha and <B> = beta automatically.  The pencil
-is solved two ways, both honest up to the stated residual bound:
+quadratic forms force <A> = alpha and <B> = beta automatically.
 
-* a dense QZ factorization, which returns the isolated eigenvalues of the
-  truncated pencil; and
-* an imaginary-axis sweep, which for a grid of S values extracts the smallest
-  singular pair (sigma, v) of (A - alpha) - iS(B - beta) and certifies (iS, v)
-  as an eigenpair whenever that residual is at working precision,
+Every pencil here pairs a diagonal A with a tridiagonal B (the cos/sin
+stencils), and the solver works on that structure alone:
+
+* Eigenvalues.  The exact unitary similarity D = diag(i^k) turns the sine
+  operators into the real symmetric tridiagonal -C, and the cosine operators
+  already are real, so real QZ on the pair (diag(A - alpha), D^H (B - beta) D)
+  returns every eigenvalue without eigenvectors.
+* Eigenvectors and residuals.  For each finite eigenvalue the vector is the
+  smallest right singular vector of the tridiagonal
+  T(lambda) = (A - alpha) - lambda (B - beta), found by inverse iteration on
+  (T^H T)^{-1} with one LU factorization of T per shift (LAPACK ?gttrf, then
+  ?gttrs with T^H and with T).  The residual is ||T v||, computed as a banded
+  matrix-vector product.
+* The imaginary-axis sweep.  For a grid of S values the same kernel extracts
+  the smallest singular pair (sigma, v) of T(iS) and certifies (iS, v) as an
+  eigenpair whenever that residual is at working precision,
   sigma <= SWEEP_RTOL * (||(A - alpha)v|| + S ||(B - beta)v||).  The scale is
   local to v and does not depend on the truncation M; a global scale such as
   max|diag(A - alpha)| = M - alpha for the number operator would let the
@@ -25,10 +35,13 @@ The sweep matters because, whenever alpha sits in the point spectrum of A,
 the truncated pencil inherits a whole segment of nearly exact imaginary
 eigenvalues (the squeezing can be dialed continuously); QZ collapses that
 segment to arbitrary rounding-determined points, while the sweep certifies
-each grid value directly and deterministically.  Away from the spectrum of A
-the smallest singular value stays orders of magnitude above the tolerance,
-so the sweep certifies nothing; that asymmetry is the quantization of the
-mean value demonstrated by :func:`quantization_scan`.
+each grid value directly and deterministically.  Which rounding-determined
+points QZ returns depends on the arithmetic (complex and real QZ return
+different ones), so on such a segment only the sweep's certificates are
+reproducible.  Away from the spectrum of A the smallest singular value stays
+orders of magnitude above the tolerance, so the sweep certifies nothing;
+that asymmetry is the quantization of the mean value demonstrated by
+:func:`quantization_scan`.
 
 The bounded-below number/phase family differs.  Its exact squeezed states are
 isolated Bessel packets c_m ~ I_{m-alpha}(S) at the roots of I_{-1-alpha}(S),
@@ -43,7 +56,7 @@ tell them from exact states.
 
 Eigenvalue classification is reported, never silently applied: every returned
 pair carries its residual, its distance |Re lambda| from the imaginary axis,
-and the tail mass of its eigenvector.
+the tail mass of its eigenvector and whether its inverse iteration converged.
 """
 
 from __future__ import annotations
@@ -51,9 +64,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.optimize import linprog
 
 from .errors import (
@@ -74,11 +89,21 @@ SWEEP_POINTS = 80
 
 _A_IDS = {OperatorId.ANGULAR_MOMENTUM, OperatorId.NUMBER}
 _B_IDS = {OperatorId.SIN_PHI, OperatorId.COS_PHI, OperatorId.PHASE_SIN, OperatorId.PHASE_COS}
+_SINE_IDS = {OperatorId.SIN_PHI, OperatorId.PHASE_SIN}
+# i^k by table: 1j**k leaves roundoff in the real part of odd powers.
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+# Refinement at an eigenvalue stops once ||T v|| is this many units of
+# roundoff of the local scale ||(A - alpha)v|| + |lambda| ||(B - beta)v||.
+_REFINE_ROUNDOFF = 32.0 * np.finfo(float).eps
+_MAX_STEPS = 30
+_START_SEED = 12345
+
+Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (sub, main, super) diagonals
 
 
 @dataclass(frozen=True)
 class PencilProblem:
-    """(A - alpha) v = lambda (B - beta) v with diagonal A and bounded B."""
+    """(A - alpha) v = lambda (B - beta) v with diagonal A and tridiagonal B."""
 
     A: OperatorMatrix
     B: OperatorMatrix
@@ -106,9 +131,26 @@ class PencilProblem:
         return self.A.window
 
     def shifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense A - alpha and B - beta."""
         d = self.window.dimension
         eye = np.eye(d)
         return self.A.entries - self.alpha * eye, self.B.entries - self.beta * eye
+
+    def bands(self) -> tuple[np.ndarray, Bands]:
+        """The real diagonal of A - alpha and the bands of B - beta."""
+        a = np.real(np.diagonal(self.A.entries)) - self.alpha
+        B = self.B.entries
+        return a, (np.diagonal(B, -1), np.diagonal(B) - self.beta, np.diagonal(B, 1))
+
+    def b_norm(self) -> float:
+        """||B - beta||_2 in closed form.
+
+        B is unitarily similar to the Toeplitz tridiagonal with 1/2 off the
+        diagonal, whose eigenvalues are cos(k pi / (d + 1)), k = 1..d.
+        """
+        d = self.window.dimension
+        k = np.arange(1, d + 1)
+        return float(np.max(np.abs(np.cos(k * np.pi / (d + 1)) - self.beta)))
 
 
 def circle_problem(alpha: float, beta: float = 0.0, M: int = 64) -> PencilProblem:
@@ -123,6 +165,24 @@ def oscillator_problem(alpha: float, beta: float = 0.0, M: int = 64) -> PencilPr
     return PencilProblem(build(OperatorId.NUMBER, w), build(OperatorId.PHASE_SIN, w), alpha, beta)
 
 
+def _check_family(family: str, alphas) -> None:
+    if family not in ("circle", "oscillator"):
+        raise ValueError(f"unknown family {family!r}; use 'circle' or 'oscillator'")
+    if family == "oscillator" and np.any(np.asarray(alphas) < 0):
+        raise OutOfRangeError("the number operator has no negative expectations")
+
+
+def _family_problem(family: str, alpha: float, beta: float, M: int) -> PencilProblem:
+    """The pencil of ``family`` ('circle' or 'oscillator') at <A> = alpha.
+
+    Raises ValueError for an unknown family and OutOfRangeError for a
+    negative number-operator expectation.
+    """
+    _check_family(family, alpha)
+    make = circle_problem if family == "circle" else oscillator_problem
+    return make(alpha, beta, M)
+
+
 @dataclass(frozen=True)
 class PencilSolution:
     """Eigenpairs sorted by distance from the imaginary axis."""
@@ -134,6 +194,7 @@ class PencilSolution:
     tail_masses: np.ndarray
     swept: np.ndarray              # True where the pair came from the axis sweep
     physical: np.ndarray           # bool flags per the reported tolerances
+    converged: np.ndarray          # bool: the pair's inverse iteration converged
     s_window: tuple[float, float]
     imag_axis_rtol: float
     tail_tol: float
@@ -154,58 +215,133 @@ class PencilSolution:
         return np.where(self.physical)[0]
 
 
-def _tri_bands(T: np.ndarray) -> np.ndarray:
-    d = T.shape[0]
-    ab = np.zeros((3, d), dtype=complex)
-    ab[0, 1:] = np.diagonal(T, 1)
-    ab[1, :] = np.diagonal(T)
-    ab[2, :-1] = np.diagonal(T, -1)
-    return ab
+class SingularPair(NamedTuple):
+    """Smallest singular value of a tridiagonal T, its right singular vector,
+    and how the inverse iteration that found them went."""
+
+    sigma: float          # ||T v||, exactly the returned vector's residual
+    vector: np.ndarray    # unit
+    steps: int            # iterations run, nudges included
+    nudges: int           # diagonal shifts of a singular or overflowing LU
+    converged: bool       # a stopping rule was met before the step cap
 
 
-def _is_tridiagonal(T: np.ndarray) -> bool:
-    return bool(np.all(T == np.triu(np.tril(T, 1), -1)))
+def _tri_matvec(bands: Bands, v: np.ndarray) -> np.ndarray:
+    sub, main, sup = bands
+    y = main * v
+    y[:-1] += sup * v[1:]
+    y[1:] += sub * v[:-1]
+    return y
 
 
-def smallest_singular_pair(T: np.ndarray, *, iters: int = 30, seed: int = 12345) -> tuple[float, np.ndarray]:
-    """Smallest singular value of T and its right singular vector.
+def _unit(y: np.ndarray) -> np.ndarray | None:
+    """y / ||y||, scaled by its largest entry first so no square overflows;
+    None when y is zero or not finite."""
+    peak = float(np.max(np.abs(y)))
+    if not np.isfinite(peak) or peak == 0.0:
+        return None
+    y = y / peak
+    return y / np.linalg.norm(y)
 
-    Tridiagonal matrices (every pencil built here) go through banded inverse
-    iteration on (T^H T)^{-1}, O(n) per step; anything else falls back to a
-    dense SVD.  The returned pair always satisfies ||T v|| = sigma exactly,
-    so sigma is a certified eigenpair residual.
+
+def _inverse_iteration(T: Bands, v: np.ndarray, iters: int, local=None) -> SingularPair:
+    """Inverse iteration v <- (T^H T)^{-1} v on the tridiagonal T from unit v.
+
+    T is factored once (partial-pivoting LU, ?gttrf) and each step solves
+    T^H z = v and then T y = z with that factor (?gttrs); z is rescaled
+    between the two solves, so a T singular to working precision cannot
+    overflow.  An exactly singular factor, or a solve that overflows anyway,
+    shifts the diagonal by roundoff and refactors: an LU nudge, which uses up
+    a step.  The iteration has converged when sigma = ||T v|| changes by at
+    most 1e-6 relative after the fourth step or, given ``local`` (a function
+    of v bounding the size of the terms of T v), when sigma is at roundoff of
+    local(v).
     """
-    d = T.shape[0]
-    if not _is_tridiagonal(T):
-        _, s, Vh = np.linalg.svd(T)
-        v = Vh[-1].conj()
-        return float(np.linalg.norm(T @ v)), v
-
-    ab = _tri_bands(T)
-    abH = _tri_bands(T.conj().T)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    v /= np.linalg.norm(v)
+    sub, main, sup = T
+    lu = None
+    nudges = 0
     sigma = math.inf
     for it in range(iters):
-        try:
-            z = sla.solve_banded((1, 1), abH, v)
-            y = sla.solve_banded((1, 1), ab, z)
-        except np.linalg.LinAlgError:
-            # exactly singular LU: nudge the diagonal at roundoff level
-            eps = 1e-300 + 1e-16 * np.max(np.abs(ab[1]))
-            ab[1] += eps
-            abH[1] += eps
+        if lu is None:
+            *lu, info = zgttrf(sub, main, sup)
+        z = _unit(zgttrs(*lu, v, trans="C")[0]) if info == 0 else None
+        y = _unit(zgttrs(*lu, z)[0]) if z is not None else None
+        if y is None:  # singular or overflowing LU: nudge the diagonal by roundoff
+            main = main + (1e-300 + 1e-16 * np.max(np.abs(main)))
+            lu = None
+            nudges += 1
             continue
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0.0:
-            break
-        v = y / ny
-        new = float(np.linalg.norm(T @ v))
-        if it > 2 and abs(new - sigma) <= 1e-6 * max(new, 1e-300):
-            return new, v
+        v = y
+        new = float(np.linalg.norm(_tri_matvec(T, v)))
+        if (it > 2 and abs(new - sigma) <= 1e-6 * max(new, 1e-300)) or (
+            local is not None and new <= _REFINE_ROUNDOFF * local(v)
+        ):
+            return SingularPair(new, v, it + 1, nudges, True)
         sigma = new
-    return float(np.linalg.norm(T @ v)), v
+    return SingularPair(float(np.linalg.norm(_tri_matvec(T, v))), v, iters, nudges, False)
+
+
+def _start_vector(d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def smallest_singular_pair(
+    T: Bands, *, iters: int = _MAX_STEPS, seed: int = _START_SEED
+) -> SingularPair:
+    """Smallest singular value of the tridiagonal T = (sub, main, super) and
+    its right singular vector.
+
+    Banded inverse iteration from a seeded random start, O(n) per step and
+    one LU factorization in all.  The returned pair always satisfies
+    ||T v|| = sigma exactly, so sigma is a certified eigenpair residual;
+    ``converged`` is False when ``iters`` steps ran out first.
+    """
+    return _inverse_iteration(T, _start_vector(T[1].size, seed), iters)
+
+
+def _pencil_bands(a: np.ndarray, b: Bands, lam: complex) -> Bands:
+    """Bands of T(lambda) = (A - alpha) - lambda (B - beta)."""
+    return -lam * b[0], a - lam * b[1], -lam * b[2]
+
+
+def _local_scale(a: np.ndarray, b: Bands, lam: complex, v: np.ndarray) -> float:
+    """||(A - alpha)v|| + |lambda| ||(B - beta)v||."""
+    return float(np.linalg.norm(a * v) + abs(lam) * np.linalg.norm(_tri_matvec(b, v)))
+
+
+def _refine(a: np.ndarray, b: Bands, lam: complex, v: np.ndarray) -> SingularPair:
+    """Eigenvector at a computed eigenvalue: the sweep kernel, stopping as
+    soon as the residual reaches roundoff of the local scale."""
+    return _inverse_iteration(
+        _pencil_bands(a, b, lam), v, _MAX_STEPS, lambda u: _local_scale(a, b, lam, u)
+    )
+
+
+def _eigenvalues(problem: PencilProblem, a: np.ndarray, b: Bands) -> np.ndarray:
+    """Finite eigenvalues of the pencil by real QZ, without eigenvectors."""
+    sub, main, sup = b
+    if OperatorId(problem.B.id) in _SINE_IDS:
+        # D^H (B - beta) D with D = diag(i^k): (-1/2) off the diagonal, exactly
+        D = _I_POWERS[np.arange(a.size) % 4]
+        sub = D[1:].conj() * sub * D[:-1]
+        sup = D[:-1].conj() * sup * D[1:]
+    B_real = np.diag(main.real) + np.diag(sub.real, -1) + np.diag(sup.real, 1)
+    try:
+        w = sla.eig(np.diag(a), B_real, right=False)
+    except (sla.LinAlgError, ValueError) as exc:
+        raise SingularPencilError(
+            f"QZ failed for alpha={problem.alpha}, beta={problem.beta}: {exc}; "
+            "try perturbing beta"
+        ) from exc
+    w = w[np.isfinite(w)]
+    if w.size == 0:
+        raise SingularPencilError(
+            f"pencil has no finite eigenvalues at alpha={problem.alpha}, "
+            f"beta={problem.beta}; try perturbing beta"
+        )
+    return w
 
 
 def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, float]:
@@ -215,9 +351,9 @@ def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, floa
     that residual; a residual at working precision certifies that i s is an
     eigenvalue and the vector is its eigenvector.
     """
-    Aef, Bef = problem.shifted()
-    sigma, v = smallest_singular_pair(Aef - 1j * s * Bef)
-    return AngularState(problem.window, v / np.linalg.norm(v)), sigma
+    a, b = problem.bands()
+    pair = smallest_singular_pair(_pencil_bands(a, b, 1j * s))
+    return AngularState(problem.window, pair.vector), pair.sigma
 
 
 def _tail_masses(V: np.ndarray, window: ModeWindow, fraction: float = 0.1) -> np.ndarray:
@@ -237,9 +373,13 @@ def solve_pencil(
     sweep_points: int = SWEEP_POINTS,
     sweep_rtol: float = SWEEP_RTOL,
 ) -> PencilSolution:
-    """All eigenpairs of the truncated pencil, QZ plus axis-sweep certificates.
+    """All eigenpairs of the truncated pencil, real QZ plus axis-sweep certificates.
 
-    Every returned pair obeys the residual bound
+    The eigenvalues come from eigenvalue-only real QZ on the pair
+    (A - alpha, D^H (B - beta) D), D = diag(i^k); each finite eigenvalue's
+    unit vector from banded inverse iteration on (A-alpha) - lambda(B-beta),
+    which stops once the residual is at roundoff.  Every returned pair obeys
+    the residual bound
     ||(A-alpha)v - lambda(B-beta)v|| <= 1e-9 (||A-alpha|| + |lambda| ||B-beta||);
     pairs are sorted by |Re lambda|.  The axis sweep adds (iS, v) for each of
     ``sweep_points`` values S across ``s_window`` whose smallest singular pair
@@ -250,6 +390,8 @@ def solve_pencil(
     below double precision.  A pair is flagged physical when
     |Re lambda| <= imag_axis_rtol * (1 + |lambda|), Im lambda lies inside
     ``s_window`` and the eigenvector tail mass is below ``tail_tol``.
+    ``converged`` records, per pair, whether its inverse iteration met a
+    stopping rule within its step cap.
 
     Raises
     ------
@@ -257,54 +399,36 @@ def solve_pencil(
         When the QZ iteration fails or produces no finite eigenvalue;
         perturbing beta resolves generic failures.
     """
-    Aef, Bef = problem.shifted()
-    try:
-        w, V = sla.eig(Aef, Bef)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise SingularPencilError(
-            f"QZ failed for alpha={problem.alpha}, beta={problem.beta}: {exc}; "
-            "try perturbing beta"
-        ) from exc
-    finite = np.isfinite(w)
-    w = w[finite]
-    V = V[:, finite]
-    if w.size == 0:
-        raise SingularPencilError(
-            f"pencil has no finite eigenvalues at alpha={problem.alpha}, "
-            f"beta={problem.beta}; try perturbing beta"
-        )
-    V = V / np.linalg.norm(V, axis=0)
-    residuals = np.linalg.norm(Aef @ V - Bef @ V * w[None, :], axis=0)
-    swept = np.zeros(w.size, dtype=bool)
-
-    norm_a = float(np.max(np.abs(np.diagonal(Aef))))
-    norm_b = float(np.linalg.norm(Bef, 2))
+    a, b = problem.bands()
+    w = _eigenvalues(problem, a, b)
+    v0 = _start_vector(a.size, _START_SEED)
+    pairs = [_refine(a, b, lam, v0) for lam in w]
+    swept = [False] * len(pairs)
 
     if axis_sweep:
-        s_grid = np.linspace(s_window[0], s_window[1], sweep_points)
-        extra_w, extra_v, extra_r = [], [], []
-        a_diag = np.diagonal(Aef)
-        for s in s_grid:
-            sigma, v = smallest_singular_pair(Aef - 1j * s * Bef)
+        norm_a = float(np.max(np.abs(a)))
+        norm_b = problem.b_norm()
+        certified = []
+        for s in np.linspace(s_window[0], s_window[1], sweep_points):
+            pair = smallest_singular_pair(_pencil_bands(a, b, 1j * s))
             # The global scale bounds the local one, so it screens out points
             # that cannot certify before the local norm is computed.
-            if sigma > sweep_rtol * (norm_a + s * norm_b):
+            if pair.sigma > sweep_rtol * (norm_a + s * norm_b):
                 continue
-            local = float(np.linalg.norm(a_diag * v) + s * np.linalg.norm(Bef @ v))
-            if sigma <= sweep_rtol * local:
-                extra_w.append(1j * s)
-                extra_v.append(v)
-                extra_r.append(sigma)
-        if extra_w:
-            w = np.concatenate([w, np.array(extra_w)])
-            V = np.hstack([V, np.column_stack(extra_v)])
-            residuals = np.concatenate([residuals, np.array(extra_r)])
-            swept = np.concatenate([swept, np.ones(len(extra_w), dtype=bool)])
+            if pair.sigma <= sweep_rtol * _local_scale(a, b, 1j * s, pair.vector):
+                certified.append(1j * s)
+                pairs.append(pair)
+        w = np.concatenate([w, np.array(certified, dtype=complex)])
+        swept += [True] * len(certified)
 
+    V = np.column_stack([p.vector for p in pairs])
+    residuals = np.array([p.sigma for p in pairs])
+    converged = np.array([p.converged for p in pairs], dtype=bool)
+    swept = np.array(swept, dtype=bool)
     tails = _tail_masses(V, problem.window)
     order = np.argsort(np.abs(w.real), kind="stable")
     w, V = w[order], V[:, order]
-    residuals, tails, swept = residuals[order], tails[order], swept[order]
+    residuals, tails, swept, converged = residuals[order], tails[order], swept[order], converged[order]
 
     physical = (
         (np.abs(w.real) <= imag_axis_rtol * (1.0 + np.abs(w)))
@@ -320,6 +444,7 @@ def solve_pencil(
         tail_masses=tails,
         swept=swept,
         physical=physical,
+        converged=converged,
         s_window=s_window,
         imag_axis_rtol=imag_axis_rtol,
         tail_tol=tail_tol,
@@ -337,7 +462,7 @@ def uncertainty_floor(A: OperatorMatrix, alpha: float) -> tuple[float, AngularSt
     spectrum.  Between consecutive integers of the angular momentum this is
     sqrt(frac (1 - frac)), with maximum 1/2 at half-integer alpha.
     """
-    if not A.is_diagonal:
+    if OperatorId(A.id) not in _A_IDS:
         raise IncompatibleFamilyError("uncertainty floor needs a diagonal operator")
     spec = np.real(np.diagonal(A.entries))
     if alpha < spec.min() - 1e-12 or alpha > spec.max() + 1e-12:
@@ -388,7 +513,12 @@ def uncertainty_floor_bruteforce(A: OperatorMatrix, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class QuantizationScan:
-    """Per-alpha summary of the physical-eigenvalue search and the floor."""
+    """Per-alpha summary of the physical-eigenvalue search and the floor.
+
+    ``eigenvalues`` holds every eigenvalue of each point and
+    ``physical_eigenvalues`` the flagged ones; neither is in the CSV rows, and
+    only ``eigenvalues`` is in the JSON artifact.
+    """
 
     family: str
     alphas: np.ndarray
@@ -396,18 +526,11 @@ class QuantizationScan:
     floor: np.ndarray
     flagged: np.ndarray             # bool: a physical squeezed state exists
     eigenvalues: list = field(repr=False, default_factory=list)
+    physical_eigenvalues: list = field(repr=False, default_factory=list)
     errors: list = field(repr=False, default_factory=list)
 
     def flagged_alphas(self) -> np.ndarray:
         return self.alphas[self.flagged]
-
-
-def _scan_problem(family: str, alpha: float, beta: float, M: int) -> PencilProblem:
-    if family == "circle":
-        return circle_problem(alpha, beta, M)
-    if family == "oscillator":
-        return oscillator_problem(alpha, beta, M)
-    raise ValueError(f"unknown family {family!r}; use 'circle' or 'oscillator'")
 
 
 def quantization_scan(
@@ -432,26 +555,27 @@ def quantization_scan(
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if np.any(np.abs(alphas) > M / 2):
         raise OutOfRangeError(f"scan grid must satisfy |alpha| <= M/2 = {M / 2}")
-    if family == "oscillator" and np.any(alphas < 0):
-        raise OutOfRangeError("the number operator has no negative expectations")
+    _check_family(family, alphas)
 
     s_window = solve_kwargs.get("s_window", S_WINDOW)
     tail_tol = solve_kwargs.get("tail_tol", TAIL_TOL)
 
     def one(alpha: float):
-        problem = _scan_problem(family, alpha, beta, M)
+        problem = _family_problem(family, alpha, beta, M)
         floor, _ = uncertainty_floor(problem.A, alpha)
         try:
             sol = solve_pencil(problem, **solve_kwargs)
         except SingularPencilError as exc:
-            return math.inf, floor, False, np.array([], dtype=complex), str(exc)
+            none = np.array([], dtype=complex)
+            return math.inf, floor, False, none, none, str(exc)
         cand = (
             (sol.eigenvalues.imag >= s_window[0])
             & (sol.eigenvalues.imag <= s_window[1])
             & (sol.tail_masses < tail_tol)
         )
         dist = float(np.min(sol.axis_distances[cand])) if np.any(cand) else math.inf
-        return dist, floor, bool(np.any(sol.physical)), sol.eigenvalues, None
+        physical = sol.eigenvalues[sol.physical]
+        return dist, floor, bool(physical.size), sol.eigenvalues, physical, None
 
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -466,7 +590,8 @@ def quantization_scan(
         floor=np.array([r[1] for r in rows]),
         flagged=np.array([r[2] for r in rows], dtype=bool),
         eigenvalues=[r[3] for r in rows],
-        errors=[r[4] for r in rows],
+        physical_eigenvalues=[r[4] for r in rows],
+        errors=[r[5] for r in rows],
     )
 
 

@@ -5,11 +5,13 @@ Matrix elements and moments are checked against Gauss-Legendre quadrature on
 discontinuous angle phi_p, which Gauss nodes never place at the seam), so a
 4096-point rule is exact to machine precision for every bandwidth used here.
 The number/phase squeezed states are checked against their closed-form
-Bessel branches, found by root bracketing without any pencil.
+Bessel branches, found by root bracketing without any pencil, and the banded
+pencil kernels against dense LAPACK (SVD and complex QZ).
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import brentq
 from scipy.special import iv
 
@@ -119,3 +121,22 @@ def oscillator_branches(alpha: float) -> list[float]:
     sign = np.sign(f(grid))
     changes = np.nonzero(sign[1:] != sign[:-1])[0]
     return [brentq(f, grid[k], grid[k + 1], xtol=1e-15) for k in changes]
+
+
+def tridiagonal(bands) -> np.ndarray:
+    """Dense matrix of the (sub, main, super) bands."""
+    sub, main, sup = bands
+    return np.diag(main) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
+def dense_smallest_singular_pair(T: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest singular value of T and its right singular vector, by dense SVD."""
+    _, s, Vh = np.linalg.svd(T)
+    return float(s[-1]), Vh[-1].conj()
+
+
+def dense_pencil_eigenvalues(problem: pl.PencilProblem) -> np.ndarray:
+    """Finite eigenvalues of the pencil by dense complex QZ."""
+    Aef, Bef = problem.shifted()
+    w = sla.eigvals(Aef, Bef)
+    return w[np.isfinite(w)]

@@ -144,3 +144,22 @@ def test_bad_state_file_exits_2(capsys):
     code, _, err = run(capsys, "moments", "--state", "/nonexistent/state.json")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "1", "--alpha-step", "0"],
+        ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "1", "--alpha-step", "-0.5"],
+        ["scan", "--family", "circle", "--alpha-min", "1", "--alpha-max", "-1", "--alpha-step", "0.5"],
+        ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "inf", "--alpha-step", "0.5"],
+        ["pencil", "--family", "oscillator", "--alpha", "-1"],
+    ],
+    ids=["zero-step", "negative-step", "min-above-max", "infinite-max", "negative-oscillator-alpha"],
+)
+def test_bad_pencil_inputs_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err

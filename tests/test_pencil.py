@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import packetlab as pl
-from conftest import align_phase, oscillator_branches
+from conftest import (
+    align_phase,
+    dense_pencil_eigenvalues,
+    dense_smallest_singular_pair,
+    oscillator_branches,
+    tridiagonal,
+)
+
+# The banded kernels rescale instead of overflowing; any overflow is a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SYM = pl.ModeWindow.symmetric
 
@@ -34,6 +43,9 @@ def test_integer_alpha_has_physical_continuum():
     for i in range(sol.n):
         bound = 1e-9 * (na + abs(sol.eigenvalues[i]) * nb)
         assert sol.residuals[i] <= bound
+        assert abs(np.linalg.norm(sol.vectors[:, i]) - 1.0) < 1e-12
+    # every eigenvalue's inverse iteration reaches roundoff
+    assert np.all(sol.converged[~sol.swept])
 
 
 def test_physical_eigenvector_matches_squeezed_state():
@@ -67,6 +79,63 @@ def test_eigenvector_at_certifies_css():
     # off the spectrum nothing certifies
     _, resid = pl.eigenvector_at(pl.circle_problem(0.5, M=64), 1.5)
     assert resid > 1e-6
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_banded_kernel_matches_dense_svd(seed):
+    # a random complex tridiagonal shifted next to one of its eigenvalues,
+    # as T(iS) is next to an eigenvalue of the pencil
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(8, 80))
+
+    def cplx(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    sub, main, sup = cplx(d - 1), cplx(d), cplx(d - 1)
+    lam = rng.choice(np.linalg.eigvals(tridiagonal((sub, main, sup))))
+    T = (sub, main - lam - 5e-3 * np.exp(2j * np.pi * rng.random()), sup)
+    sigma_ref, v_ref = dense_smallest_singular_pair(tridiagonal(T))
+    pair = pl.smallest_singular_pair(T)
+    assert pair.converged and pair.nudges == 0
+    assert abs(pair.sigma - sigma_ref) <= 1e-12 * sigma_ref
+    assert abs(np.vdot(pair.vector, v_ref)) >= 1 - 1e-10
+    assert pair.sigma == pytest.approx(np.linalg.norm(tridiagonal(T) @ pair.vector), rel=1e-12)
+
+
+def test_banded_kernel_singular_and_tiny_pivots():
+    zero = np.zeros(2, dtype=complex)
+    e2 = np.array([0, 1, 0])
+    # a pivot of 1e-200 would overflow (T^H T)^{-1} v without the rescale
+    pair = pl.smallest_singular_pair((zero, np.array([1, 1e-200, 1], dtype=complex), zero))
+    assert pair.converged and pair.nudges == 0
+    assert pair.sigma == pytest.approx(1e-200, rel=1e-12)
+    assert np.allclose(np.abs(pair.vector), e2)
+    # an exactly singular factor is nudged, and the residual is still ||T v||
+    pair = pl.smallest_singular_pair((zero, np.array([1, 0, 1], dtype=complex), zero))
+    assert pair.converged and pair.nudges == 1
+    assert pair.sigma == 0.0
+    assert np.allclose(np.abs(pair.vector), e2)
+
+
+@pytest.mark.parametrize("family", [pl.circle_problem, pl.oscillator_problem])
+def test_closed_form_b_norm(family):
+    for M in (8, 64, 128):
+        for beta in (0.0, 0.3, -0.7):
+            problem = family(0.5, beta, M)
+            dense = np.linalg.norm(problem.shifted()[1], 2)
+            assert problem.b_norm() == pytest.approx(dense, rel=1e-14)
+
+
+def test_real_qz_matches_complex_qz():
+    # well-conditioned (non-integer) number/phase spectra are unaffected by
+    # the diag(i^k) similarity and by real arithmetic
+    for alpha in (0.5, 1.3, 3.7):
+        problem = pl.oscillator_problem(alpha, M=64)
+        w = pl.solve_pencil(problem, axis_sweep=False).eigenvalues
+        ref = dense_pencil_eigenvalues(problem)
+        assert w.size == ref.size
+        for lam in w:
+            assert np.min(np.abs(ref - lam)) <= 1e-12 * (1 + abs(lam))
 
 
 def test_floor_examples():
@@ -174,6 +243,8 @@ def test_oscillator_scan_rejects_out_of_range():
         pl.quantization_scan("oscillator", [-1.0], M=64)
     with pytest.raises(pl.OutOfRangeError):
         pl.quantization_scan("circle", [40.0], M=64)
+    with pytest.raises(ValueError):
+        pl.quantization_scan("disk", [0.0], M=64)
 
 
 def test_scan_records_solver_failures(monkeypatch):
@@ -192,10 +263,21 @@ def test_scan_records_solver_failures(monkeypatch):
 
 
 def test_scan_csv_format():
-    from packetlab.pencil import scan_to_csv_rows
+    from packetlab.pencil import scan_to_csv_rows, scan_to_dict
 
     scan = pl.quantization_scan("circle", [0.0, 0.5], M=32)
     rows = scan_to_csv_rows(scan)
     assert rows[0] == "alpha,minImagDistance,floor,flag"
     assert rows[1].startswith("0,") and rows[1].endswith(",1")
     assert rows[2].endswith(",0")
+    # the physical eigenvalues stay out of the artifacts
+    points = scan_to_dict(scan)["points"]
+    assert set(points[0]) == {"alpha", "minImagDistance", "floor", "flag", "eigenvalues", "error"}
+
+
+def test_scan_keeps_physical_eigenvalues():
+    scan = pl.quantization_scan("oscillator", [0.5, 1.5], M=64)
+    sol = pl.solve_pencil(pl.oscillator_problem(0.5, M=64))
+    assert np.array_equal(scan.physical_eigenvalues[0], sol.eigenvalues[sol.physical])
+    assert scan.physical_eigenvalues[0].size == 1
+    assert scan.physical_eigenvalues[1].size == 0
