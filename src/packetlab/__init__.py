@@ -67,7 +67,6 @@ from .pencil import (
     smallest_singular_pair,
     solve_pencil,
     uncertainty_floor,
-    uncertainty_floor_bruteforce,
 )
 from .variational import (
     FTable,

@@ -231,6 +231,8 @@ def _cmd_scan(args) -> int:
         raise ValueError(
             f"--alpha-min {args.alpha_min} exceeds --alpha-max {args.alpha_max}"
         )
+    # the endpoints first, so an out-of-range grid is never built
+    pencil_mod._check_scan(args.family, [args.alpha_min, args.alpha_max], args.truncation)
     n = int(math.floor((args.alpha_max - args.alpha_min) / args.alpha_step + 0.5)) + 1
     alphas = args.alpha_min + args.alpha_step * np.arange(n)
     workers = int(os.environ.get("PACKETLAB_THREADS", "1"))
@@ -327,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except PacketLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

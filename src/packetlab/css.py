@@ -56,7 +56,7 @@ class CssParams:
 
 
 def _integer_ell(ell: float) -> int:
-    if abs(ell - round(ell)) > 1e-9:
+    if not math.isfinite(ell) or abs(ell - round(ell)) > 1e-9:
         raise IntegerWindingError(
             f"mean angular momentum must be an integer, got {ell}: "
             "e^{i l phi} is single-valued on the circle only for integer l, so "

@@ -45,6 +45,11 @@ PHI_P_MAX = math.pi / math.sqrt(3.0)
 # Default tolerance when comparing a relation's two sides.
 MARGIN_TOL = 1e-12
 
+# The gamma minimization: coarse scan points over (-pi, pi] and the width at
+# which golden-section refinement stops.
+GAMMA_SCAN_POINTS = 256
+GAMMA_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -117,22 +122,22 @@ def _second_moment_objective(bk: np.ndarray):
     return V
 
 
-def minimized_second_moment(bk: np.ndarray, *, scan_points: int = 256,
-                            gamma_tol: float = 1e-10) -> tuple[float, float]:
+def minimized_second_moment(bk: np.ndarray) -> tuple[float, float]:
     """Global minimum of V(gamma) over gamma in (-pi, pi].
 
     Returns (V_min, gamma_star).  Flat objectives (eigenstates) return
     gamma_star = 0 by the smallest-|gamma| tie-break.
     """
     V = _second_moment_objective(bk)
-    grid = -math.pi + 2.0 * math.pi * (np.arange(scan_points) + 1.0) / scan_points
+    n = GAMMA_SCAN_POINTS
+    grid = -math.pi + 2.0 * math.pi * (np.arange(n) + 1.0) / n
     vals = V(grid)
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     if vmax - vmin <= 1e-13 * max(1.0, abs(vmax)):
         return float(V(0.0)), 0.0
 
     # Refine every coarse basin that is plausibly the global one.
-    step = 2.0 * math.pi / scan_points
+    step = 2.0 * math.pi / n
     candidates = np.where(vals <= vmin + 1e-9 * max(1.0, abs(vmin)))[0]
     best = (math.inf, 0.0)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -142,7 +147,7 @@ def minimized_second_moment(bk: np.ndarray, *, scan_points: int = 256,
         c = b - inv_phi * (b - a)
         d = a + inv_phi * (b - a)
         fc, fd = V(c), V(d)
-        while b - a > gamma_tol:
+        while b - a > GAMMA_TOL:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - inv_phi * (b - a)

@@ -69,7 +69,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import zgttrf, zgttrs
-from scipy.optimize import linprog
 
 from .errors import (
     IncompatibleFamilyError,
@@ -78,9 +77,11 @@ from .errors import (
     WindowMismatchError,
 )
 from .operators import OperatorId, OperatorMatrix, build
-from .states import AngularState, ModeWindow
+from .states import AngularState, ModeWindow, tail_mass
 
-# Physicality defaults; all overridable per call and reported in the output.
+# The physicality policy (how each value is used: solve_pencil).  It is fixed
+# here rather than settable per call, so no flag can be reached by tuning a
+# tolerance, and no artifact repeats it.
 S_WINDOW = (0.1, 8.0)
 IMAG_AXIS_RTOL = 1e-8
 TAIL_TOL = 1e-8
@@ -92,8 +93,9 @@ _B_IDS = {OperatorId.SIN_PHI, OperatorId.COS_PHI, OperatorId.PHASE_SIN, Operator
 _SINE_IDS = {OperatorId.SIN_PHI, OperatorId.PHASE_SIN}
 # i^k by table: 1j**k leaves roundoff in the real part of odd powers.
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
-# Refinement at an eigenvalue stops once ||T v|| is this many units of
-# roundoff of the local scale ||(A - alpha)v|| + |lambda| ||(B - beta)v||.
+# Inverse iteration on T(lambda) (refinement, sweep, eigenvector_at) stops once
+# ||T v|| is this many units of roundoff of the local scale
+# ||(A - alpha)v|| + |lambda| ||(B - beta)v||.
 _REFINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 _MAX_STEPS = 30
 _START_SEED = 12345
@@ -121,6 +123,8 @@ class PencilProblem:
             raise IncompatibleFamilyError(
                 f"B must be a bounded coordinate operator, got {self.B.id}"
             )
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if abs(self.beta) >= 1.0:
             raise ValueError(
                 f"|beta| must be < 1 (the coordinate spectrum is [-1, 1]), got {self.beta}"
@@ -129,12 +133,6 @@ class PencilProblem:
     @property
     def window(self) -> ModeWindow:
         return self.A.window
-
-    def shifted(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense A - alpha and B - beta."""
-        d = self.window.dimension
-        eye = np.eye(d)
-        return self.A.entries - self.alpha * eye, self.B.entries - self.beta * eye
 
     def bands(self) -> tuple[np.ndarray, Bands]:
         """The real diagonal of A - alpha and the bands of B - beta."""
@@ -165,6 +163,14 @@ def oscillator_problem(alpha: float, beta: float = 0.0, M: int = 64) -> PencilPr
     return PencilProblem(build(OperatorId.NUMBER, w), build(OperatorId.PHASE_SIN, w), alpha, beta)
 
 
+def _check_scan(family: str, alphas, M: int) -> None:
+    """Reject a scan grid: OutOfRangeError unless every |alpha| <= M/2, then
+    the checks of :func:`_check_family`."""
+    if np.any(np.abs(alphas) > M / 2):
+        raise OutOfRangeError(f"scan grid must satisfy |alpha| <= M/2 = {M / 2}")
+    _check_family(family, alphas)
+
+
 def _check_family(family: str, alphas) -> None:
     if family not in ("circle", "oscillator"):
         raise ValueError(f"unknown family {family!r}; use 'circle' or 'oscillator'")
@@ -193,11 +199,9 @@ class PencilSolution:
     residuals: np.ndarray          # ||(A-a)v - lambda (B-b)v||_2
     tail_masses: np.ndarray
     swept: np.ndarray              # True where the pair came from the axis sweep
-    physical: np.ndarray           # bool flags per the reported tolerances
+    candidate: np.ndarray          # bool: Im lambda in S_WINDOW, tail mass below TAIL_TOL
+    physical: np.ndarray           # bool: a candidate on the imaginary axis
     converged: np.ndarray          # bool: the pair's inverse iteration converged
-    s_window: tuple[float, float]
-    imag_axis_rtol: float
-    tail_tol: float
 
     @property
     def n(self) -> int:
@@ -244,7 +248,7 @@ def _unit(y: np.ndarray) -> np.ndarray | None:
     return y / np.linalg.norm(y)
 
 
-def _inverse_iteration(T: Bands, v: np.ndarray, iters: int, local=None) -> SingularPair:
+def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> SingularPair:
     """Inverse iteration v <- (T^H T)^{-1} v on the tridiagonal T from unit v.
 
     T is factored once (partial-pivoting LU, ?gttrf) and each step solves
@@ -261,7 +265,7 @@ def _inverse_iteration(T: Bands, v: np.ndarray, iters: int, local=None) -> Singu
     lu = None
     nudges = 0
     sigma = math.inf
-    for it in range(iters):
+    for it in range(_MAX_STEPS):
         if lu is None:
             *lu, info = zgttrf(sub, main, sup)
         z = _unit(zgttrs(*lu, v, trans="C")[0]) if info == 0 else None
@@ -278,27 +282,25 @@ def _inverse_iteration(T: Bands, v: np.ndarray, iters: int, local=None) -> Singu
         ):
             return SingularPair(new, v, it + 1, nudges, True)
         sigma = new
-    return SingularPair(float(np.linalg.norm(_tri_matvec(T, v))), v, iters, nudges, False)
+    return SingularPair(float(np.linalg.norm(_tri_matvec(T, v))), v, _MAX_STEPS, nudges, False)
 
 
-def _start_vector(d: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _start_vector(d: int) -> np.ndarray:
+    rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
 
 
-def smallest_singular_pair(
-    T: Bands, *, iters: int = _MAX_STEPS, seed: int = _START_SEED
-) -> SingularPair:
+def smallest_singular_pair(T: Bands) -> SingularPair:
     """Smallest singular value of the tridiagonal T = (sub, main, super) and
     its right singular vector.
 
     Banded inverse iteration from a seeded random start, O(n) per step and
     one LU factorization in all.  The returned pair always satisfies
     ||T v|| = sigma exactly, so sigma is a certified eigenpair residual;
-    ``converged`` is False when ``iters`` steps ran out first.
+    ``converged`` is False when the step cap ran out first.
     """
-    return _inverse_iteration(T, _start_vector(T[1].size, seed), iters)
+    return _inverse_iteration(T, _start_vector(T[1].size))
 
 
 def _pencil_bands(a: np.ndarray, b: Bands, lam: complex) -> Bands:
@@ -311,12 +313,10 @@ def _local_scale(a: np.ndarray, b: Bands, lam: complex, v: np.ndarray) -> float:
     return float(np.linalg.norm(a * v) + abs(lam) * np.linalg.norm(_tri_matvec(b, v)))
 
 
-def _refine(a: np.ndarray, b: Bands, lam: complex, v: np.ndarray) -> SingularPair:
-    """Eigenvector at a computed eigenvalue: the sweep kernel, stopping as
-    soon as the residual reaches roundoff of the local scale."""
-    return _inverse_iteration(
-        _pencil_bands(a, b, lam), v, _MAX_STEPS, lambda u: _local_scale(a, b, lam, u)
-    )
+def _pencil_pair(a: np.ndarray, b: Bands, lam: complex, v: np.ndarray) -> SingularPair:
+    """Smallest singular pair of T(lambda) by inverse iteration from unit v,
+    stopping as soon as the residual reaches roundoff of the local scale."""
+    return _inverse_iteration(_pencil_bands(a, b, lam), v, lambda u: _local_scale(a, b, lam, u))
 
 
 def _eigenvalues(problem: PencilProblem, a: np.ndarray, b: Bands) -> np.ndarray:
@@ -352,27 +352,11 @@ def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, floa
     eigenvalue and the vector is its eigenvector.
     """
     a, b = problem.bands()
-    pair = smallest_singular_pair(_pencil_bands(a, b, 1j * s))
+    pair = _pencil_pair(a, b, 1j * s, _start_vector(a.size))
     return AngularState(problem.window, pair.vector), pair.sigma
 
 
-def _tail_masses(V: np.ndarray, window: ModeWindow, fraction: float = 0.1) -> np.ndarray:
-    m = window.modes
-    cut = (1.0 - fraction) * window.M
-    sel = np.abs(m) > cut if window.is_symmetric else m > cut
-    return np.sum(np.abs(V[sel, :]) ** 2, axis=0)
-
-
-def solve_pencil(
-    problem: PencilProblem,
-    *,
-    s_window: tuple[float, float] = S_WINDOW,
-    imag_axis_rtol: float = IMAG_AXIS_RTOL,
-    tail_tol: float = TAIL_TOL,
-    axis_sweep: bool = True,
-    sweep_points: int = SWEEP_POINTS,
-    sweep_rtol: float = SWEEP_RTOL,
-) -> PencilSolution:
+def solve_pencil(problem: PencilProblem, *, axis_sweep: bool = True) -> PencilSolution:
     """All eigenpairs of the truncated pencil, real QZ plus axis-sweep certificates.
 
     The eigenvalues come from eigenvalue-only real QZ on the pair
@@ -381,15 +365,16 @@ def solve_pencil(
     which stops once the residual is at roundoff.  Every returned pair obeys
     the residual bound
     ||(A-alpha)v - lambda(B-beta)v|| <= 1e-9 (||A-alpha|| + |lambda| ||B-beta||);
-    pairs are sorted by |Re lambda|.  The axis sweep adds (iS, v) for each of
-    ``sweep_points`` values S across ``s_window`` whose smallest singular pair
-    (sigma, v) of (A-alpha) - iS(B-beta) satisfies
-    sigma <= sweep_rtol * (||(A-alpha)v|| + S ||(B-beta)v||).  That local
+    pairs are sorted by |Re lambda|.  With ``axis_sweep`` (the default) the
+    sweep adds (iS, v) for each of SWEEP_POINTS values S across S_WINDOW
+    whose smallest singular pair (sigma, v) of (A-alpha) - iS(B-beta),
+    found by the same roundoff-stopped inverse iteration, satisfies
+    sigma <= SWEEP_RTOL * (||(A-alpha)v|| + S ||(B-beta)v||).  That local
     scale is independent of the truncation M.  Integer <N> >= 4 of the
     number/phase family still certify, because their boundary defect is
-    below double precision.  A pair is flagged physical when
-    |Re lambda| <= imag_axis_rtol * (1 + |lambda|), Im lambda lies inside
-    ``s_window`` and the eigenvector tail mass is below ``tail_tol``.
+    below double precision.  ``candidate`` flags the pairs with Im lambda
+    inside S_WINDOW and eigenvector tail mass below TAIL_TOL, ``physical``
+    the candidates with |Re lambda| <= IMAG_AXIS_RTOL * (1 + |lambda|).
     ``converged`` records, per pair, whether its inverse iteration met a
     stopping rule within its step cap.
 
@@ -401,21 +386,21 @@ def solve_pencil(
     """
     a, b = problem.bands()
     w = _eigenvalues(problem, a, b)
-    v0 = _start_vector(a.size, _START_SEED)
-    pairs = [_refine(a, b, lam, v0) for lam in w]
+    v0 = _start_vector(a.size)
+    pairs = [_pencil_pair(a, b, lam, v0) for lam in w]
     swept = [False] * len(pairs)
 
     if axis_sweep:
         norm_a = float(np.max(np.abs(a)))
         norm_b = problem.b_norm()
         certified = []
-        for s in np.linspace(s_window[0], s_window[1], sweep_points):
-            pair = smallest_singular_pair(_pencil_bands(a, b, 1j * s))
+        for s in np.linspace(S_WINDOW[0], S_WINDOW[1], SWEEP_POINTS):
+            pair = _pencil_pair(a, b, 1j * s, v0)
             # The global scale bounds the local one, so it screens out points
             # that cannot certify before the local norm is computed.
-            if pair.sigma > sweep_rtol * (norm_a + s * norm_b):
+            if pair.sigma > SWEEP_RTOL * (norm_a + s * norm_b):
                 continue
-            if pair.sigma <= sweep_rtol * _local_scale(a, b, 1j * s, pair.vector):
+            if pair.sigma <= SWEEP_RTOL * _local_scale(a, b, 1j * s, pair.vector):
                 certified.append(1j * s)
                 pairs.append(pair)
         w = np.concatenate([w, np.array(certified, dtype=complex)])
@@ -425,17 +410,13 @@ def solve_pencil(
     residuals = np.array([p.sigma for p in pairs])
     converged = np.array([p.converged for p in pairs], dtype=bool)
     swept = np.array(swept, dtype=bool)
-    tails = _tail_masses(V, problem.window)
+    tails = tail_mass(V, problem.window)
     order = np.argsort(np.abs(w.real), kind="stable")
     w, V = w[order], V[:, order]
     residuals, tails, swept, converged = residuals[order], tails[order], swept[order], converged[order]
 
-    physical = (
-        (np.abs(w.real) <= imag_axis_rtol * (1.0 + np.abs(w)))
-        & (w.imag >= s_window[0])
-        & (w.imag <= s_window[1])
-        & (tails < tail_tol)
-    )
+    candidate = (w.imag >= S_WINDOW[0]) & (w.imag <= S_WINDOW[1]) & (tails < TAIL_TOL)
+    physical = candidate & (np.abs(w.real) <= IMAG_AXIS_RTOL * (1.0 + np.abs(w)))
     return PencilSolution(
         problem=problem,
         eigenvalues=w,
@@ -443,11 +424,9 @@ def solve_pencil(
         residuals=residuals,
         tail_masses=tails,
         swept=swept,
+        candidate=candidate,
         physical=physical,
         converged=converged,
-        s_window=s_window,
-        imag_axis_rtol=imag_axis_rtol,
-        tail_tol=tail_tol,
     )
 
 
@@ -465,7 +444,7 @@ def uncertainty_floor(A: OperatorMatrix, alpha: float) -> tuple[float, AngularSt
     if OperatorId(A.id) not in _A_IDS:
         raise IncompatibleFamilyError("uncertainty floor needs a diagonal operator")
     spec = np.real(np.diagonal(A.entries))
-    if alpha < spec.min() - 1e-12 or alpha > spec.max() + 1e-12:
+    if not (spec.min() - 1e-12 <= alpha <= spec.max() + 1e-12):
         raise OutOfRangeError(
             f"alpha={alpha} outside the truncated spectrum "
             f"[{spec.min()}, {spec.max()}]"
@@ -485,27 +464,6 @@ def uncertainty_floor(A: OperatorMatrix, alpha: float) -> tuple[float, AngularSt
     c[hi] = math.sqrt(p)
     floor = math.sqrt(max((alpha - spec[lo]) * (spec[hi] - alpha), 0.0))
     return floor, AngularState(A.window, c)
-
-
-def uncertainty_floor_bruteforce(A: OperatorMatrix, alpha: float) -> float:
-    """Independent check: direct minimization over the probability simplex.
-
-    min sum_k p_k (a_k - alpha)^2 subject to sum p = 1, sum p a = alpha,
-    p >= 0 is a linear program in p; the dual-simplex solution is a vertex
-    and therefore exact to roundoff.
-    """
-    spec = np.real(np.diagonal(A.entries))
-    cost = (spec - alpha) ** 2
-    res = linprog(
-        cost,
-        A_eq=np.vstack([np.ones_like(spec), spec]),
-        b_eq=np.array([1.0, alpha]),
-        bounds=[(0.0, None)] * spec.size,
-        method="highs-ds",
-    )
-    if not res.success:
-        raise OutOfRangeError(f"constrained minimization infeasible at alpha={alpha}")
-    return math.sqrt(max(res.fun, 0.0))
 
 
 # -- quantization scan -------------------------------------------------------
@@ -540,39 +498,30 @@ def quantization_scan(
     M: int = 64,
     *,
     max_workers: int | None = None,
-    **solve_kwargs,
 ) -> QuantizationScan:
     """Scan expectation values for the existence of physical squeezed states.
 
-    Per alpha the pencil is solved, the minimal |Re lambda| over candidates
-    (eigenvalues inside the S window with small eigenvector tails) recorded,
-    and the two-level uncertainty floor at <A> = alpha attached.  Points where
-    the solve fails are flagged in ``errors`` instead of aborting the scan.
+    Per alpha the pencil is solved by :func:`solve_pencil` at the module's
+    physicality constants, the minimal |Re lambda| over the solution's
+    ``candidate`` pairs recorded, and the two-level uncertainty floor at
+    <A> = alpha attached.  Points where the solve fails are flagged in
+    ``errors`` instead of aborting the scan.
 
     Scan points are independent; ``max_workers`` > 1 evaluates them in a
     thread pool with output assembled in grid order.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if np.any(np.abs(alphas) > M / 2):
-        raise OutOfRangeError(f"scan grid must satisfy |alpha| <= M/2 = {M / 2}")
-    _check_family(family, alphas)
-
-    s_window = solve_kwargs.get("s_window", S_WINDOW)
-    tail_tol = solve_kwargs.get("tail_tol", TAIL_TOL)
+    _check_scan(family, alphas, M)
 
     def one(alpha: float):
         problem = _family_problem(family, alpha, beta, M)
         floor, _ = uncertainty_floor(problem.A, alpha)
         try:
-            sol = solve_pencil(problem, **solve_kwargs)
+            sol = solve_pencil(problem)
         except SingularPencilError as exc:
             none = np.array([], dtype=complex)
             return math.inf, floor, False, none, none, str(exc)
-        cand = (
-            (sol.eigenvalues.imag >= s_window[0])
-            & (sol.eigenvalues.imag <= s_window[1])
-            & (sol.tail_masses < tail_tol)
-        )
+        cand = sol.candidate
         dist = float(np.min(sol.axis_distances[cand])) if np.any(cand) else math.inf
         physical = sol.eigenvalues[sol.physical]
         return dist, floor, bool(physical.size), sol.eigenvalues, physical, None

@@ -106,16 +106,9 @@ class AngularState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def tail_mass(self, fraction: float = TAIL_FRACTION) -> float:
-        """Probability in the outermost ``fraction`` of the mode range.
-
-        This is the numerical proxy for how faithfully the truncation
-        represents an infinite-basis state.
-        """
-        m = self.window.modes
-        cut = (1.0 - fraction) * self.window.M
-        sel = np.abs(m) > cut if self.window.is_symmetric else m > cut
-        return float(np.sum(np.abs(self.coeffs[sel]) ** 2))
+    def tail_mass(self) -> float:
+        """The state's :func:`tail_mass`."""
+        return float(tail_mass(self.coeffs, self.window))
 
     def rotated(self, angle: float) -> "AngularState":
         """Rigid rotation: move the packet from phi to phi + angle."""
@@ -142,6 +135,19 @@ class GridFunction:
     @property
     def angles(self) -> np.ndarray:
         return grid_angles(self.size)
+
+
+def tail_mass(coeffs: np.ndarray, window: ModeWindow):
+    """Probability in the outermost TAIL_FRACTION of the mode range, per
+    column of ``coeffs`` (one value for a single coefficient vector).
+
+    This is the numerical proxy for how faithfully the truncation
+    represents an infinite-basis state.
+    """
+    m = window.modes
+    cut = (1.0 - TAIL_FRACTION) * window.M
+    sel = np.abs(m) > cut if window.is_symmetric else m > cut
+    return np.sum(np.abs(coeffs[sel]) ** 2, axis=0)
 
 
 def grid_angles(G: int) -> np.ndarray:

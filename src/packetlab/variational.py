@@ -48,6 +48,22 @@ from .states import TWO_PI, grid_angles
 #: vanishing somewhere; linear-phase optimality is then not asserted
 ZERO_LEVEL = 1e-9
 
+#: cosine and sine harmonics of the periodic phase correction in minimize_phase
+PHASE_HARMONICS = 40
+#: largest variation of the first integral accepted from a converged minimizer
+FIRST_INTEGRAL_TOL = 1e-6
+
+#: f_table: cosine harmonics of the modulus square root g, the accepted
+#: |Delta phi_p - target|, and the cap on augmented-penalty rounds per target
+F_MODULUS_HARMONICS = 32
+F_CONSTRAINT_TOL = 1e-6
+F_MAX_OUTER = 20
+
+#: random_smooth_modulus: harmonics of log r, and the ripple amplitude of the
+#: first harmonic (harmonic n is scaled by ripple / n)
+RANDOM_HARMONICS = 6
+RANDOM_RIPPLE = 0.35
+
 
 @dataclass(frozen=True)
 class ModulusProfile:
@@ -167,7 +183,7 @@ def first_integral(r: ModulusProfile, theta: PhaseProfile) -> np.ndarray:
 
 
 def _check_winding(winding: float) -> float:
-    if abs(2.0 * winding - round(2.0 * winding)) > 1e-9:
+    if not math.isfinite(winding) or abs(2.0 * winding - round(2.0 * winding)) > 1e-9:
         raise IntegerWindingError(
             f"winding must be an integer or half-integer, got {winding}: "
             "periodicity of psi admits no other linear-phase slopes"
@@ -179,16 +195,15 @@ def minimize_phase(
     r: ModulusProfile,
     winding: float,
     *,
-    n_terms: int = 40,
     initial_coeffs: np.ndarray | None = None,
-    first_integral_tol: float = 1e-6,
 ) -> tuple[PhaseProfile, float]:
     """Minimize Delta L over phases with the given total winding.
 
     The phase is parametrized as theta = winding * phi plus a periodic
-    correction expanded in ``n_terms`` cosine and sine harmonics, so the
+    correction expanded in PHASE_HARMONICS cosine and sine harmonics, so the
     winding class is enforced exactly rather than fitted.  The default start
-    is the zero correction; for a nowhere-vanishing modulus the converged
+    is the zero correction (``initial_coeffs`` overrides it: the cosine then
+    the sine coefficients); for a nowhere-vanishing modulus the converged
     minimizer is checked against the Euler-Lagrange first integral
     r^2 (theta' - <L>) = const and against linearity of the phase.
 
@@ -223,7 +238,7 @@ def minimize_phase(
     # characterizes admissible pairings.
     admissible = (not has_zero) and abs(winding - round(winding)) < 1e-12
 
-    ns = np.arange(1, n_terms + 1)
+    ns = np.arange(1, PHASE_HARMONICS + 1)
     basis = np.hstack([np.cos(np.outer(phi, ns)), np.sin(np.outer(phi, ns))])
     dbasis = np.hstack(
         [-np.sin(np.outer(phi, ns)) * ns, np.cos(np.outer(phi, ns)) * ns]
@@ -239,7 +254,7 @@ def minimize_phase(
         grad = 2.0 * h * (u1 @ dbasis)
         return val, grad
 
-    x0 = np.zeros(2 * n_terms) if initial_coeffs is None else np.asarray(initial_coeffs, float)
+    x0 = np.zeros(2 * PHASE_HARMONICS) if initial_coeffs is None else np.asarray(initial_coeffs, float)
     res = minimize(
         objective,
         x0,
@@ -271,9 +286,9 @@ def minimize_phase(
     if admissible:
         fi = first_integral(r, profile)
         spread = float(np.max(np.abs(fi - np.mean(fi))))
-        if spread > first_integral_tol:
+        if spread > FIRST_INTEGRAL_TOL:
             raise ConvergenceError(
-                f"first integral varies by {spread:.2e} > {first_integral_tol}; "
+                f"first integral varies by {spread:.2e} > {FIRST_INTEGRAL_TOL}; "
                 "the phase minimization did not converge"
             )
     return profile, delta_l
@@ -326,44 +341,39 @@ def _density_bk(rho: np.ndarray, kmax: int) -> np.ndarray:
     return F[ks] * (-1.0) ** ks
 
 
-def f_table(
-    targets,
-    m: int = 0,
-    *,
-    n_modulus: int = 32,
-    grid: int = 512,
-    constraint_tol: float = 1e-6,
-    max_outer: int = 20,
-) -> FTable:
+def f_table(targets, m: int = 0, *, grid: int = 512) -> FTable:
     """Tabulate f by constrained minimization of Delta L at fixed Delta phi_p.
 
     The modulus is an even, nonnegative profile r = g^2 with g expanded in
-    ``n_modulus`` cosine harmonics; the phase is the linear theta = m phi, so
-    (Delta L)^2 reduces to integral r'^2 dphi and the slope m only enters
-    through the assembled state used for the reported value.  Each target is
-    met by an augmented penalty loop with multiplier updates until
-    |Delta phi_p - target| <= ``constraint_tol``; points that fail to meet
-    the tolerance are reported with ``converged`` False rather than dropped.
+    F_MODULUS_HARMONICS cosine harmonics on a ``grid``-point angle grid; the
+    phase is the linear theta = m phi, so (Delta L)^2 reduces to
+    integral r'^2 dphi and the slope m only enters through the assembled
+    state used for the reported value.  Each target is met by an augmented
+    penalty loop with multiplier updates, at most F_MAX_OUTER rounds, until
+    |Delta phi_p - target| <= F_CONSTRAINT_TOL; points that fail to meet the
+    tolerance are reported with ``converged`` False rather than dropped.
 
-    Targets must lie strictly inside (0, pi/sqrt(3)); the returned table is
-    sorted by Delta phi_p.
+    Targets must be a nonempty list strictly inside (0, pi/sqrt(3)); the
+    returned table is sorted by Delta phi_p.
     """
-    if abs(m - round(m)) > 1e-9:
+    if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
         raise IntegerWindingError(f"phase slope must be an integer, got {m}")
     m = int(round(m))
     targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
+    if targets.size == 0:
+        raise ValueError("no Delta phi_p targets given")
     if np.any(targets <= 0.0) or np.any(targets >= PHI_P_MAX):
         raise ValueError(f"targets must lie strictly inside (0, {PHI_P_MAX})")
 
     G = grid
     h = TWO_PI / G
     phi = grid_angles(G)
-    ns = np.arange(n_modulus)
+    ns = np.arange(F_MODULUS_HARMONICS)
     COS = np.cos(np.outer(phi, ns))
     DCOS = -np.sin(np.outer(phi, ns)) * ns
     # Fourier series of phi_p^2 truncated far beyond the density bandwidth,
     # hence exact for these profiles.
-    kmax = min(4 * n_modulus + 8, G // 2 - 1)
+    kmax = min(4 * F_MODULUS_HARMONICS + 8, G // 2 - 1)
     ks = np.arange(1, kmax + 1)
     w2 = np.pi**2 / 3.0 + (4.0 * (-1.0) ** ks / ks.astype(float) ** 2) @ np.cos(
         np.outer(ks, phi)
@@ -389,7 +399,7 @@ def f_table(
         y, mu = 0.0, 100.0
         q = q0.copy()
         viol_prev = None
-        for _ in range(max_outer):
+        for _ in range(F_MAX_OUTER):
             def penalized(qv):
                 dl2, V0, ddl2, dV0 = pieces(qv)
                 dp = math.sqrt(V0)
@@ -407,7 +417,7 @@ def f_table(
             q = res.x
             dl2, V0 = pieces(q, want_grad=False)
             c = math.sqrt(V0) - t
-            if abs(c) <= constraint_tol:
+            if abs(c) <= F_CONSTRAINT_TOL:
                 return q, True
             y += mu * c
             if viol_prev is not None and abs(c) > 0.25 * abs(viol_prev):
@@ -476,14 +486,13 @@ def half_winding_modulus(G: int) -> ModulusProfile:
     return modulus_profile(np.cos(0.5 * phi), periodicity="antiperiodic")
 
 
-def random_smooth_modulus(
-    G: int, seed: int, *, n_harmonics: int = 6, ripple: float = 0.35
-) -> ModulusProfile:
-    """Seeded strictly positive analytic profile, exp of a random trig poly."""
+def random_smooth_modulus(G: int, seed: int) -> ModulusProfile:
+    """Seeded strictly positive analytic profile, exp of a random trig poly
+    with RANDOM_HARMONICS harmonics."""
     rng = np.random.default_rng(seed)
     phi = grid_angles(G)
     logr = np.zeros(G)
-    for n in range(1, n_harmonics + 1):
-        a, b = rng.standard_normal(2) * ripple / n
+    for n in range(1, RANDOM_HARMONICS + 1):
+        a, b = rng.standard_normal(2) * RANDOM_RIPPLE / n
         logr += a * np.cos(n * phi) + b * np.sin(n * phi)
     return modulus_profile(np.exp(logr))

@@ -5,14 +5,17 @@ Matrix elements and moments are checked against Gauss-Legendre quadrature on
 discontinuous angle phi_p, which Gauss nodes never place at the seam), so a
 4096-point rule is exact to machine precision for every bandwidth used here.
 The number/phase squeezed states are checked against their closed-form
-Bessel branches, found by root bracketing without any pencil, and the banded
-pencil kernels against dense LAPACK (SVD and complex QZ).
+Bessel branches, found by root bracketing without any pencil, the banded
+pencil kernels against dense LAPACK (SVD and complex QZ), and the two-level
+uncertainty floor against a linear program over the probability simplex.
 """
+
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog
 from scipy.special import iv
 
 import packetlab as pl
@@ -135,8 +138,34 @@ def dense_smallest_singular_pair(T: np.ndarray) -> tuple[float, np.ndarray]:
     return float(s[-1]), Vh[-1].conj()
 
 
+def shifted(problem: pl.PencilProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Dense A - alpha and B - beta."""
+    eye = np.eye(problem.window.dimension)
+    return problem.A.entries - problem.alpha * eye, problem.B.entries - problem.beta * eye
+
+
 def dense_pencil_eigenvalues(problem: pl.PencilProblem) -> np.ndarray:
     """Finite eigenvalues of the pencil by dense complex QZ."""
-    Aef, Bef = problem.shifted()
+    Aef, Bef = shifted(problem)
     w = sla.eigvals(Aef, Bef)
     return w[np.isfinite(w)]
+
+
+def uncertainty_floor_bruteforce(A: pl.OperatorMatrix, alpha: float) -> float:
+    """Minimal Delta A at <A> = alpha by direct minimization over the
+    probability simplex.
+
+    min sum_k p_k (a_k - alpha)^2 subject to sum p = 1, sum p a = alpha,
+    p >= 0 is a linear program in p; the dual-simplex solution is a vertex
+    and therefore exact to roundoff.
+    """
+    spec = np.real(np.diagonal(A.entries))
+    res = linprog(
+        (spec - alpha) ** 2,
+        A_eq=np.vstack([np.ones_like(spec), spec]),
+        b_eq=np.array([1.0, alpha]),
+        bounds=[(0.0, None)] * spec.size,
+        method="highs-ds",
+    )
+    assert res.success, f"constrained minimization infeasible at alpha={alpha}"
+    return math.sqrt(max(res.fun, 0.0))

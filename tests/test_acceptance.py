@@ -19,6 +19,7 @@ from conftest import (
     oracle_delta_phi_p,
     oracle_moments,
     oscillator_branches,
+    uncertainty_floor_bruteforce,
 )
 
 SYM = pl.ModeWindow.symmetric
@@ -83,7 +84,7 @@ def test_criterion_3_uncertainty_floor():
     for _ in range(100):
         alpha = float(rng.uniform(-8.0, 8.0))
         analytic, _ = pl.uncertainty_floor(L, alpha)
-        brute = pl.uncertainty_floor_bruteforce(L, alpha)
+        brute = uncertainty_floor_bruteforce(L, alpha)
         worst = max(worst, abs(analytic - brute))
     worst_half = 0.0
     for m in range(-8, 8):

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import packetlab as pl
 from packetlab.cli import main
@@ -154,8 +158,19 @@ def test_bad_state_file_exits_2(capsys):
         ["scan", "--family", "circle", "--alpha-min", "1", "--alpha-max", "-1", "--alpha-step", "0.5"],
         ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "inf", "--alpha-step", "0.5"],
         ["pencil", "--family", "oscillator", "--alpha", "-1"],
+        ["f-scan", "--t-count", "0"],
+        ["floor", "--alpha", "nan"],
+        ["pencil", "--family", "circle", "--alpha", "nan"],
+        # beyond M/2: rejected before the grid of 2e17 points is built
+        ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "1e17", "--alpha-step", "0.5"],
+        # a grid of 4e17 points: its allocation (beyond any address space) fails at once
+        ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "4", "--alpha-step", "1e-17"],
     ],
-    ids=["zero-step", "negative-step", "min-above-max", "infinite-max", "negative-oscillator-alpha"],
+    ids=[
+        "zero-step", "negative-step", "min-above-max", "infinite-max",
+        "negative-oscillator-alpha", "no-f-targets", "nan-floor-alpha", "nan-pencil-alpha",
+        "max-beyond-truncation", "unallocatable-grid",
+    ],
 )
 def test_bad_pencil_inputs_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -163,3 +178,52 @@ def test_bad_pencil_inputs_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# Numeric arguments drawn from zero, negative, non-finite, huge and normal
+# values; truncations stay small so that every valid draw runs in milliseconds.
+NUMBER = st.sampled_from(["0", "-1.5", "nan", "inf", "-inf", "1e300", "0.5", "2"])
+COUNT = st.sampled_from(["0", "-3", "nan", "1e300", "1", "2"])
+TRUNCATION = st.sampled_from(["0", "-3", "nan", "8"])
+FAMILY = st.sampled_from(["circle", "oscillator"])
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["css", "pencil", "scan", "floor", "phase-min", "f-scan"]))
+    options = {
+        "css": ["--S", "--ell", "--center"],
+        "pencil": ["--alpha", "--beta"],
+        "scan": ["--alpha-min", "--alpha-max", "--alpha-step", "--beta"],
+        "floor": ["--alpha"],
+        "phase-min": ["--winding", "--kappa"],
+        "f-scan": ["--t-min", "--t-max", "--m"],
+    }[command]
+    argv = [command]
+    for option in options:
+        argv += [option, draw(NUMBER)]
+    if command in ("pencil", "scan", "floor"):
+        argv += ["--family", draw(FAMILY)]
+    if command == "phase-min":
+        argv += ["--modulus", draw(st.sampled_from(["uniform", "vonmises", "random", "half-cosine"]))]
+    if command == "f-scan":
+        argv += ["--t-count", draw(COUNT)]
+    if command in ("phase-min", "f-scan"):
+        argv += ["--grid", "64"]
+    else:
+        argv += ["--truncation", draw(TRUNCATION)]
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=fuzz_argv())
+def test_fuzzed_numeric_arguments_keep_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejects unparsable values
+        code = exc.code
+    # any other exception escaping main would print a traceback
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

@@ -7,7 +7,9 @@ from conftest import (
     dense_pencil_eigenvalues,
     dense_smallest_singular_pair,
     oscillator_branches,
+    shifted,
     tridiagonal,
+    uncertainty_floor_bruteforce,
 )
 
 # The banded kernels rescale instead of overflowing; any overflow is a failure.
@@ -37,15 +39,15 @@ def test_integer_alpha_has_physical_continuum():
     s_values = sol.eigenvalues[phys].imag
     assert s_values.min() <= 0.2 and s_values.max() >= 7.0
     # residual contract for every returned pair
-    Aef, Bef = sol.problem.shifted()
+    Aef, Bef = shifted(sol.problem)
     na = np.max(np.abs(np.diagonal(Aef)))
     nb = np.linalg.norm(Bef, 2)
     for i in range(sol.n):
         bound = 1e-9 * (na + abs(sol.eigenvalues[i]) * nb)
         assert sol.residuals[i] <= bound
         assert abs(np.linalg.norm(sol.vectors[:, i]) - 1.0) < 1e-12
-    # every eigenvalue's inverse iteration reaches roundoff
-    assert np.all(sol.converged[~sol.swept])
+    # every pair's inverse iteration, swept ones included, reaches roundoff
+    assert np.all(sol.converged)
 
 
 def test_physical_eigenvector_matches_squeezed_state():
@@ -122,7 +124,7 @@ def test_closed_form_b_norm(family):
     for M in (8, 64, 128):
         for beta in (0.0, 0.3, -0.7):
             problem = family(0.5, beta, M)
-            dense = np.linalg.norm(problem.shifted()[1], 2)
+            dense = np.linalg.norm(shifted(problem)[1], 2)
             assert problem.b_norm() == pytest.approx(dense, rel=1e-14)
 
 
@@ -166,7 +168,7 @@ def test_floor_against_bruteforce():
     for _ in range(25):
         alpha = float(rng.uniform(-8, 8))
         floor, _ = pl.uncertainty_floor(L, alpha)
-        assert abs(floor - pl.uncertainty_floor_bruteforce(L, alpha)) < 1e-9
+        assert abs(floor - uncertainty_floor_bruteforce(L, alpha)) < 1e-9
 
 
 def test_quantization_scan_circle():
@@ -215,7 +217,7 @@ def test_oscillator_pencil_spec_points():
         assert sol.physical_indices().size > 0
         counts.append(int(np.sum(sol.swept & sol.physical)))
         state, sigma = pl.eigenvector_at(problem, 0.1)
-        Aef, Bef = problem.shifted()
+        Aef, Bef = shifted(problem)
         local = np.linalg.norm(Aef @ state.coeffs) + 0.1 * np.linalg.norm(Bef @ state.coeffs)
         assert sigma / local <= np.finfo(float).eps
         # ... nothing at <N> = 3, whose defect (2.7e-13) the certificate resolves,
