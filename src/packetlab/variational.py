@@ -21,7 +21,9 @@ avoids the seam artifacts of the discontinuous angle.
 The module also computes the numeric right-hand-side factor f of the
 modified (Judge-type) uncertainty relation by constrained minimization of
 Delta L over even positive modulus profiles at fixed gamma-minimized angle
-spread.  The table stores
+spread: an augmented penalty loop whose rounds are each solved by Newton
+trust-region steps on the closed-form gradient and Hessian (Moré & Sorensen,
+SIAM J. Sci. Stat. Comput. 4 (1983)).  The table stores
 
     f = [2 Delta L Delta phi_p / (1 - 3 Delta phi_p^2 / pi^2)]^2,
 
@@ -35,10 +37,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConvergenceError, IntegerWindingError, ModulusZeroWarning
 from .moments import PHI_P_MAX, minimized_second_moment
@@ -112,12 +113,19 @@ def modulus_profile(values, periodicity: str = "periodic") -> ModulusProfile:
 
 @dataclass(frozen=True)
 class PhaseProfile:
-    """Phase samples with their linear fit theta ~ slope * phi + offset."""
+    """Phase samples with their linear fit theta ~ slope * phi + offset.
+
+    A profile returned by :func:`minimize_phase` also carries the L-BFGS-B
+    result: ``optimizer_success`` and ``optimizer_message`` (None and "" for
+    profiles built directly).
+    """
 
     theta: np.ndarray
     slope: float
     offset: float
     fit_residual: float
+    optimizer_success: bool | None = None
+    optimizer_message: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.theta, dtype=float).copy()
@@ -211,7 +219,11 @@ def minimize_phase(
     -------
     (PhaseProfile, delta_l)
         The minimizing phase (slope = requested winding, offset and fit
-        residual attached) and its Delta L.
+        residual attached, and L-BFGS-B's ``optimizer_success`` and
+        ``optimizer_message``) and its Delta L.  An unsuccessful L-BFGS-B
+        exit is reported there, not raised: it usually means the line search
+        stalled at roundoff, and the Newton polish and the first-integral
+        check below decide whether the minimum is accepted.
 
     Warns
     -----
@@ -220,6 +232,8 @@ def minimize_phase(
         then concentrate theta' at the zeros and is returned with diagnostics
         but without the linearity assertion.
     """
+    from scipy.optimize import minimize
+
     winding = _check_winding(winding)
     G = r.grid
     phi = grid_angles(G)
@@ -279,7 +293,11 @@ def minimize_phase(
     if objective(x)[0] > objective(res.x)[0]:
         x = res.x
     theta = winding * phi + basis @ x
-    profile = phase_profile(theta, winding)
+    profile = replace(
+        phase_profile(theta, winding),
+        optimizer_success=bool(res.success),
+        optimizer_message=str(res.message),
+    )
     mean_l, mean_l2, _, _ = _l_moments(rv, theta)
     delta_l = math.sqrt(max(mean_l2 - mean_l**2, 0.0))
 
@@ -299,15 +317,29 @@ def minimize_phase(
 
 @dataclass(frozen=True)
 class FTable:
-    """Sampled f(Delta phi_p), squared normalization (1 at 0, 35/8 at max)."""
+    """Sampled f(Delta phi_p), squared normalization (1 at 0, 35/8 at max).
+
+    ``rounds`` is the number of penalty rounds each point took and
+    ``violation`` its final |Delta phi_p - target|; a table read back from
+    CSV did not record them and carries rounds 0 and violation NaN.
+    """
 
     delta_phi_p: np.ndarray
     f: np.ndarray
     converged: np.ndarray
+    rounds: np.ndarray | None = None
+    violation: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("delta_phi_p", "f", "converged"):
+        n = np.asarray(self.f).size
+        if self.rounds is None:
+            object.__setattr__(self, "rounds", np.zeros(n, dtype=int))
+        if self.violation is None:
+            object.__setattr__(self, "violation", np.full(n, np.nan))
+        for name in ("delta_phi_p", "f", "converged", "rounds", "violation"):
             a = np.asarray(getattr(self, name))
+            if a.shape != (n,):
+                raise ValueError(f"FTable.{name} must hold one entry per point")
             a = a.copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -341,31 +373,9 @@ def _density_bk(rho: np.ndarray, kmax: int) -> np.ndarray:
     return F[ks] * (-1.0) ** ks
 
 
-def f_table(targets, m: int = 0, *, grid: int = 512) -> FTable:
-    """Tabulate f by constrained minimization of Delta L at fixed Delta phi_p.
-
-    The modulus is an even, nonnegative profile r = g^2 with g expanded in
-    F_MODULUS_HARMONICS cosine harmonics on a ``grid``-point angle grid; the
-    phase is the linear theta = m phi, so (Delta L)^2 reduces to
-    integral r'^2 dphi and the slope m only enters through the assembled
-    state used for the reported value.  Each target is met by an augmented
-    penalty loop with multiplier updates, at most F_MAX_OUTER rounds, until
-    |Delta phi_p - target| <= F_CONSTRAINT_TOL; points that fail to meet the
-    tolerance are reported with ``converged`` False rather than dropped.
-
-    Targets must be a nonempty list strictly inside (0, pi/sqrt(3)); the
-    returned table is sorted by Delta phi_p.
-    """
-    if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
-        raise IntegerWindingError(f"phase slope must be an integer, got {m}")
-    m = int(round(m))
-    targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
-    if targets.size == 0:
-        raise ValueError("no Delta phi_p targets given")
-    if np.any(targets <= 0.0) or np.any(targets >= PHI_P_MAX):
-        raise ValueError(f"targets must lie strictly inside (0, {PHI_P_MAX})")
-
-    G = grid
+def _f_basis(G: int):
+    """Grid step, cosine basis of g and its derivative, the Fourier series of
+    phi_p^2 on the grid, and the harmonic cutoff kmax of that series."""
     h = TWO_PI / G
     phi = grid_angles(G)
     ns = np.arange(F_MODULUS_HARMONICS)
@@ -378,60 +388,151 @@ def f_table(targets, m: int = 0, *, grid: int = 512) -> FTable:
     w2 = np.pi**2 / 3.0 + (4.0 * (-1.0) ** ks / ks.astype(float) ** 2) @ np.cos(
         np.outer(ks, phi)
     )
+    return h, COS, DCOS, w2, kmax
 
-    def pieces(q, want_grad=True):
-        g = COS @ q
-        gp = DCOS @ q
-        g2 = g * g
-        g3 = g2 * g
-        g4 = g2 * g2
-        Z = h * np.sum(g4)
-        dl2 = 4.0 * h * np.sum(g2 * gp * gp) / Z
-        V0 = h * np.sum(g4 * w2) / Z
-        if not want_grad:
-            return dl2, V0
-        dZ = 4.0 * h * (g3 @ COS)
-        ddl2 = 8.0 * h * ((g * gp * gp) @ COS + (g2 * gp) @ DCOS) / Z - dl2 / Z * dZ
-        dV0 = 4.0 * h * ((g3 * w2) @ COS) / Z - V0 / Z * dZ
-        return dl2, V0, ddl2, dV0
+
+def _f_pieces(q, basis, hessian=False):
+    """Z = h sum g^4, dl2 = P/Z = (Delta L)^2 and V0 = W/Z = <phi_p^2> of
+    r = g^2 with g = COS q, then their gradients, then (if ``hessian``) their
+    Hessians.
+
+    Each Hessian is a sum of weighted Gram matrices of the two bases plus the
+    quotient-rule outer products:
+    d2(N/Z) = (d2N - (N/Z) d2Z - d(N/Z) dZ^T - dZ d(N/Z)^T) / Z.
+    """
+    h, COS, DCOS, w2, _ = basis
+    g = COS @ q
+    gp = DCOS @ q
+    g2 = g * g
+    g3 = g2 * g
+    g4 = g2 * g2
+    Z = h * np.sum(g4)
+    dl2 = 4.0 * h * np.sum(g2 * gp * gp) / Z
+    V0 = h * np.sum(g4 * w2) / Z
+    dZ = 4.0 * h * (g3 @ COS)
+    ddl2 = (8.0 * h * ((g * gp * gp) @ COS + (g2 * gp) @ DCOS) - dl2 * dZ) / Z
+    dV0 = (4.0 * h * ((g3 * w2) @ COS) - V0 * dZ) / Z
+    if not hessian:
+        return (Z, dl2, V0), (dZ, ddl2, dV0)
+
+    def gram(a, w, b):
+        return a.T @ (w[:, None] * b)
+
+    def quotient(d2N, F, dF):
+        outer = np.outer(dF, dZ)
+        return (d2N - F * HZ - outer - outer.T) / Z
+
+    HZ = 12.0 * h * gram(COS, g2, COS)
+    cross = gram(COS, g * gp, DCOS)
+    Hdl2 = quotient(
+        8.0 * h * (gram(COS, gp * gp, COS) + 2.0 * (cross + cross.T) + gram(DCOS, g2, DCOS)),
+        dl2,
+        ddl2,
+    )
+    HV0 = quotient(12.0 * h * gram(COS, g2 * w2, COS), V0, dV0)
+    return (Z, dl2, V0), (dZ, ddl2, dV0), (HZ, Hdl2, HV0)
+
+
+def _f_penalized(q, basis, t, y, mu, hessian=False):
+    """Value and gradient, plus the Hessian if asked, of the penalty
+    subproblem dl2 + y c + mu c^2 / 2 + (Z - 1)^2 / 2 with c = sqrt(V0) - t.
+
+    dl2 and c are homogeneous of degree 0 in q, so without the last term the
+    Hessian is singular along q; the gauge term fixes the scale at Z = 1 and
+    leaves every minimizing shape unchanged.
+    """
+    (Z, dl2, V0), (dZ, ddl2, dV0), *second = _f_pieces(q, basis, hessian)
+    dp = math.sqrt(V0)
+    c = dp - t
+    dc = dV0 / (2.0 * dp)
+    lam = y + mu * c
+    value = dl2 + y * c + 0.5 * mu * c * c + 0.5 * (Z - 1.0) ** 2
+    grad = ddl2 + lam * dc + (Z - 1.0) * dZ
+    if not hessian:
+        return value, grad
+    HZ, Hdl2, HV0 = second[0]
+    Hc = HV0 / (2.0 * dp) - np.outer(dV0, dV0) / (4.0 * dp**3)
+    return value, grad, (
+        Hdl2 + lam * Hc + mu * np.outer(dc, dc) + np.outer(dZ, dZ) + (Z - 1.0) * HZ
+    )
+
+
+def _f_penalized_hessian(q, basis, t, y, mu):
+    return _f_penalized(q, basis, t, y, mu, hessian=True)[2]
+
+
+def f_table(targets, m: int = 0, *, grid: int = 512) -> FTable:
+    """Tabulate f by constrained minimization of Delta L at fixed Delta phi_p.
+
+    The modulus is an even, nonnegative profile r = g^2 with g expanded in
+    F_MODULUS_HARMONICS cosine harmonics on a ``grid``-point angle grid; the
+    phase is the linear theta = m phi, so (Delta L)^2 reduces to
+    integral r'^2 dphi and the slope m only enters through the assembled
+    state used for the reported value.  Each target is met by an augmented
+    penalty loop with multiplier updates, at most F_MAX_OUTER rounds, until
+    |Delta phi_p - target| <= F_CONSTRAINT_TOL.  Every round is a smooth
+    unconstrained problem in the F_MODULUS_HARMONICS coefficients of g, solved
+    by Newton trust-region steps (``trust-exact``) on its closed-form
+    gradient and Hessian, with a scale gauge that pins h sum g^4 = 1 (see
+    ``_f_penalized``).  The inner solver's own success flag is not used:
+    ``converged`` means the constraint tolerance was met.  Points that fail
+    to meet it are reported with ``converged`` False rather than dropped, and
+    every point carries its penalty ``rounds`` and final ``violation``.
+
+    Targets must be a nonempty list strictly inside (0, pi/sqrt(3)); the
+    returned table is sorted by Delta phi_p.
+    """
+    from scipy.optimize import minimize
+
+    if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
+        raise IntegerWindingError(f"phase slope must be an integer, got {m}")
+    m = int(round(m))
+    targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
+    if targets.size == 0:
+        raise ValueError("no Delta phi_p targets given")
+    if np.any(targets <= 0.0) or np.any(targets >= PHI_P_MAX):
+        raise ValueError(f"targets must lie strictly inside (0, {PHI_P_MAX})")
+
+    G = grid
+    basis = _f_basis(G)
+    _, COS, _, _, kmax = basis
+    phi = grid_angles(G)
 
     def solve_target(t, q0):
         y, mu = 0.0, 100.0
         q = q0.copy()
         viol_prev = None
-        for _ in range(F_MAX_OUTER):
-            def penalized(qv):
-                dl2, V0, ddl2, dV0 = pieces(qv)
-                dp = math.sqrt(V0)
-                c = dp - t
-                dc = dV0 / (2.0 * dp)
-                return dl2 + y * c + 0.5 * mu * c * c, ddl2 + (y + mu * c) * dc
-
+        for rounds in range(1, F_MAX_OUTER + 1):
             res = minimize(
-                penalized,
+                _f_penalized,
                 q,
+                args=(basis, t, y, mu),
                 jac=True,
-                method="L-BFGS-B",
-                options=dict(maxiter=800, ftol=1e-16, gtol=1e-12),
+                hess=_f_penalized_hessian,
+                method="trust-exact",
+                options=dict(gtol=1e-12),
             )
             q = res.x
-            dl2, V0 = pieces(q, want_grad=False)
+            (_, _, V0), _ = _f_pieces(q, basis)
             c = math.sqrt(V0) - t
             if abs(c) <= F_CONSTRAINT_TOL:
-                return q, True
+                break
             y += mu * c
             if viol_prev is not None and abs(c) > 0.25 * abs(viol_prev):
                 mu *= 10.0
             viol_prev = c
-        return q, False
+        return q, rounds, abs(c)
 
-    # first start: von Mises bump whose width roughly matches the first target
+    # first start: von Mises bump whose width roughly matches the first
+    # target, scaled to the gauge h sum g^4 = 1
     kappa = max(0.05, 1.0 / targets[0] ** 2)
     q = np.linalg.lstsq(COS, np.exp(0.25 * kappa * (np.cos(phi) - 1.0)), rcond=None)[0]
+    (Z, _, _), _ = _f_pieces(q, basis)
+    q /= Z**0.25
 
-    out_t, out_f, out_ok = [], [], []
+    out_t, out_f, out_rounds, out_viol = [], [], [], []
     for t in targets:
-        q, ok = solve_target(t, q)
+        q, rounds, viol = solve_target(t, q)
         g = COS @ q
         r = modulus_profile(g * g)
         # report through the assembled-state path so the slope m is exercised
@@ -442,10 +543,16 @@ def f_table(targets, m: int = 0, *, grid: int = 512) -> FTable:
         flin = 2.0 * dl * dp / (1.0 - 3.0 * dp**2 / math.pi**2)
         out_t.append(dp)
         out_f.append(flin**2)
-        out_ok.append(ok)
+        out_rounds.append(rounds)
+        out_viol.append(viol)
     order = np.argsort(out_t)
+    out_viol = np.asarray(out_viol)[order]
     return FTable(
-        np.asarray(out_t)[order], np.asarray(out_f)[order], np.asarray(out_ok)[order]
+        np.asarray(out_t)[order],
+        np.asarray(out_f)[order],
+        out_viol <= F_CONSTRAINT_TOL,
+        rounds=np.asarray(out_rounds)[order],
+        violation=out_viol,
     )
 
 

@@ -6,8 +6,9 @@ discontinuous angle phi_p, which Gauss nodes never place at the seam), so a
 4096-point rule is exact to machine precision for every bandwidth used here.
 The number/phase squeezed states are checked against their closed-form
 Bessel branches, found by root bracketing without any pencil, the banded
-pencil kernels against dense LAPACK (SVD and complex QZ), and the two-level
-uncertainty floor against a linear program over the probability simplex.
+pencil kernels against dense LAPACK (SVD and complex QZ), the two-level
+uncertainty floor against a linear program over the probability simplex, and
+the Newton f table against the same penalty loop solved by L-BFGS-B.
 """
 
 import math
@@ -15,7 +16,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.optimize import brentq, linprog
+from scipy.optimize import brentq, linprog, minimize
 from scipy.special import iv
 
 import packetlab as pl
@@ -169,3 +170,101 @@ def uncertainty_floor_bruteforce(A: pl.OperatorMatrix, alpha: float) -> float:
     )
     assert res.success, f"constrained minimization infeasible at alpha={alpha}"
     return math.sqrt(max(res.fun, 0.0))
+
+
+def f_table_lbfgsb(targets, m: int = 0, *, grid: int = 512) -> pl.FTable:
+    """f table by the augmented penalty loop with L-BFGS-B inner solves.
+
+    The same problem as :func:`packetlab.f_table` (modulus r = g^2, g in
+    F_MODULUS_HARMONICS cosine harmonics, von Mises start, multiplier and
+    penalty updates, reporting through the assembled state), but every
+    penalty round is minimized by a quasi-Newton line search on the
+    gradient alone, with no Hessian and no scale gauge.
+    """
+    from packetlab.moments import minimized_second_moment
+    from packetlab.variational import (
+        F_CONSTRAINT_TOL,
+        F_MAX_OUTER,
+        F_MODULUS_HARMONICS,
+        _density_bk,
+    )
+
+    targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
+    G = grid
+    h = 2.0 * np.pi / G
+    phi = pl.grid_angles(G)
+    ns = np.arange(F_MODULUS_HARMONICS)
+    COS = np.cos(np.outer(phi, ns))
+    DCOS = -np.sin(np.outer(phi, ns)) * ns
+    kmax = min(4 * F_MODULUS_HARMONICS + 8, G // 2 - 1)
+    ks = np.arange(1, kmax + 1)
+    w2 = np.pi**2 / 3.0 + (4.0 * (-1.0) ** ks / ks.astype(float) ** 2) @ np.cos(
+        np.outer(ks, phi)
+    )
+
+    def pieces(q, want_grad=True):
+        g = COS @ q
+        gp = DCOS @ q
+        g2 = g * g
+        g3 = g2 * g
+        g4 = g2 * g2
+        Z = h * np.sum(g4)
+        dl2 = 4.0 * h * np.sum(g2 * gp * gp) / Z
+        V0 = h * np.sum(g4 * w2) / Z
+        if not want_grad:
+            return dl2, V0
+        dZ = 4.0 * h * (g3 @ COS)
+        ddl2 = 8.0 * h * ((g * gp * gp) @ COS + (g2 * gp) @ DCOS) / Z - dl2 / Z * dZ
+        dV0 = 4.0 * h * ((g3 * w2) @ COS) / Z - V0 / Z * dZ
+        return dl2, V0, ddl2, dV0
+
+    def solve_target(t, q0):
+        y, mu = 0.0, 100.0
+        q = q0.copy()
+        viol_prev = None
+        for _ in range(F_MAX_OUTER):
+            def penalized(qv):
+                dl2, V0, ddl2, dV0 = pieces(qv)
+                dp = math.sqrt(V0)
+                c = dp - t
+                dc = dV0 / (2.0 * dp)
+                return dl2 + y * c + 0.5 * mu * c * c, ddl2 + (y + mu * c) * dc
+
+            res = minimize(
+                penalized,
+                q,
+                jac=True,
+                method="L-BFGS-B",
+                options=dict(maxiter=800, ftol=1e-16, gtol=1e-12),
+            )
+            q = res.x
+            dl2, V0 = pieces(q, want_grad=False)
+            c = math.sqrt(V0) - t
+            if abs(c) <= F_CONSTRAINT_TOL:
+                return q, True
+            y += mu * c
+            if viol_prev is not None and abs(c) > 0.25 * abs(viol_prev):
+                mu *= 10.0
+            viol_prev = c
+        return q, False
+
+    kappa = max(0.05, 1.0 / targets[0] ** 2)
+    q = np.linalg.lstsq(COS, np.exp(0.25 * kappa * (np.cos(phi) - 1.0)), rcond=None)[0]
+
+    out_t, out_f, out_ok = [], [], []
+    for t in targets:
+        q, ok = solve_target(t, q)
+        g = COS @ q
+        r = pl.modulus_profile(g * g)
+        dl = pl.delta_l_of(r, pl.linear_phase(G, m))
+        rho = r.values**2
+        vmin, _ = minimized_second_moment(_density_bk(rho, kmax))
+        dp = math.sqrt(max(vmin, 0.0))
+        flin = 2.0 * dl * dp / (1.0 - 3.0 * dp**2 / math.pi**2)
+        out_t.append(dp)
+        out_f.append(flin**2)
+        out_ok.append(ok)
+    order = np.argsort(out_t)
+    return pl.FTable(
+        np.asarray(out_t)[order], np.asarray(out_f)[order], np.asarray(out_ok)[order]
+    )

@@ -1,10 +1,26 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import packetlab as pl
+from conftest import f_table_lbfgsb
+from packetlab import variational
 
 G = 512
 PI_SQRT3 = np.pi / np.sqrt(3)
+# target grid of acceptance criterion 5, as fractions of pi/sqrt(3)
+CRITERION_5_FRACTIONS = [0.05, 0.1, 0.15, 0.25, 0.4, 0.55, 0.7, 0.85, 0.9, 0.95, 0.97, 0.99]
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(pl.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import packetlab; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_modulus_profile_normalization():
@@ -144,3 +160,69 @@ def test_f_table_csv_roundtrip():
     assert back.interpolate(0.75) == pytest.approx(
         np.interp(0.75, table.delta_phi_p, table.f)
     )
+
+
+def test_minimize_phase_reports_optimizer_result():
+    prof, _ = pl.minimize_phase(pl.random_smooth_modulus(G, 29), 1)
+    assert isinstance(prof.optimizer_success, bool)
+    assert isinstance(prof.optimizer_message, str) and prof.optimizer_message
+    built = pl.linear_phase(G, 1)
+    assert built.optimizer_success is None and built.optimizer_message == ""
+
+
+def test_f_table_explains_each_point():
+    table = pl.f_table([0.4, 0.8, 1.2], grid=256)
+    assert table.rounds.dtype.kind == "i"
+    assert np.all((table.rounds >= 1) & (table.rounds <= variational.F_MAX_OUTER))
+    assert np.all(table.violation <= variational.F_CONSTRAINT_TOL)
+    assert np.array_equal(table.converged, table.violation <= variational.F_CONSTRAINT_TOL)
+    for name in ("rounds", "violation"):
+        with pytest.raises(ValueError):
+            getattr(table, name)[0] = 0
+    # the CSV form is unchanged; a table read back did not record them
+    assert all(len(row.split(",")) == 3 for row in table.to_csv_rows())
+    back = pl.read_f_table(table.to_csv_rows())
+    assert np.all(back.rounds == 0) and np.all(np.isnan(back.violation))
+    with pytest.raises(ValueError):
+        pl.FTable(table.delta_phi_p, table.f, table.converged, rounds=np.ones(2, dtype=int))
+
+
+@pytest.mark.parametrize(
+    "targets, grid",
+    [([0.4, 0.8, 1.2], 256), ([f * PI_SQRT3 for f in CRITERION_5_FRACTIONS], 512)],
+    ids=["grid256", "criterion5"],
+)
+def test_f_table_matches_lbfgsb_oracle(targets, grid):
+    table = pl.f_table(targets, grid=grid)
+    oracle = f_table_lbfgsb(targets, grid=grid)
+    assert np.all(table.converged) and np.all(oracle.converged)
+    assert table.is_monotone
+    assert np.max(np.abs(table.f - oracle.f) / oracle.f) <= 1e-7
+    assert np.max(np.abs(table.delta_phi_p - oracle.delta_phi_p) / oracle.delta_phi_p) <= 1e-7
+
+
+@pytest.mark.parametrize("grid", [256, 512])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_f_penalized_derivatives_match_finite_differences(grid, seed):
+    basis = variational._f_basis(grid)
+    n = variational.F_MODULUS_HARMONICS
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(n) / (1.0 + np.arange(n)) ** 2
+    q[0] += 2.0
+    args = (basis, 0.8, 0.3, 100.0)
+    _, grad, hess = variational._f_penalized(q, *args, hessian=True)
+    step = 1e-6 * np.linalg.norm(q)
+    eye = np.eye(n)
+    fd_grad = np.array([
+        (variational._f_penalized(q + step * e, *args)[0]
+         - variational._f_penalized(q - step * e, *args)[0]) / (2.0 * step)
+        for e in eye
+    ])
+    fd_hess = np.array([
+        (variational._f_penalized(q + step * e, *args)[1]
+         - variational._f_penalized(q - step * e, *args)[1]) / (2.0 * step)
+        for e in eye
+    ])
+    assert np.linalg.norm(fd_grad - grad) <= 1e-6 * np.linalg.norm(grad)
+    assert np.linalg.norm(fd_hess - hess) <= 1e-6 * np.linalg.norm(hess)
+    assert np.linalg.norm(hess - hess.T) <= 1e-12 * np.linalg.norm(hess)
