@@ -53,6 +53,8 @@ class CssParams:
     def __post_init__(self):
         if not (self.squeezing >= 0.0 and math.isfinite(self.squeezing)):
             raise ValueError(f"squeezing must be finite and >= 0, got {self.squeezing}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
 
 
 def _integer_ell(ell: float) -> int:

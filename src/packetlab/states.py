@@ -95,7 +95,7 @@ class AngularState:
                 f"{self.window.dimension}"
             )
         nrm = np.linalg.norm(c)
-        if abs(nrm - 1.0) > 1e-8:
+        if not abs(nrm - 1.0) <= 1e-8:
             raise ValueError(
                 f"coefficients are not normalized (norm={nrm!r}); "
                 "use packetlab.normalize()"

@@ -15,8 +15,9 @@ cannot reach below Delta L = 1/2 (two neighboring integer modes mixed
 equally).
 
 Derivatives never touch theta directly: the assembled psi is differentiated
-spectrally after the fractional winding e^{i phi/2} is factored out, which
-avoids the seam artifacts of the discontinuous angle.
+spectrally, which avoids the seam artifacts of the discontinuous angle, and
+the phase is minimized by Newton trust-region steps on the exact gradient
+and Hessian of that grid objective.
 
 The module also computes the numeric right-hand-side factor f of the
 modified (Judge-type) uncertainty relation by constrained minimization of
@@ -115,9 +116,9 @@ def modulus_profile(values, periodicity: str = "periodic") -> ModulusProfile:
 class PhaseProfile:
     """Phase samples with their linear fit theta ~ slope * phi + offset.
 
-    A profile returned by :func:`minimize_phase` also carries the L-BFGS-B
-    result: ``optimizer_success`` and ``optimizer_message`` (None and "" for
-    profiles built directly).
+    A profile returned by :func:`minimize_phase` also carries the result of
+    its trust-exact solve: ``optimizer_success`` and ``optimizer_message``
+    (None and "" for profiles built directly).
     """
 
     theta: np.ndarray
@@ -148,9 +149,10 @@ def linear_phase(G: int, winding: float, offset: float = 0.0) -> PhaseProfile:
 
 
 def _spectral_derivative(u: np.ndarray) -> np.ndarray:
-    G = u.size
-    k = np.fft.fftfreq(G, d=1.0 / G)
-    return np.fft.ifft(1j * k * np.fft.fft(u))
+    """Derivative of the grid samples along axis 0 (one column per function)."""
+    G = u.shape[0]
+    k = np.fft.fftfreq(G, d=1.0 / G).reshape((G,) + (1,) * (u.ndim - 1))
+    return np.fft.ifft(1j * k * np.fft.fft(u, axis=0), axis=0)
 
 
 def _l_moments(r: np.ndarray, theta: np.ndarray):
@@ -199,6 +201,31 @@ def _check_winding(winding: float) -> float:
     return round(2.0 * winding) / 2.0
 
 
+def _phase_objective(x, rv, theta0, basis, hessian=False):
+    """(Delta L)^2 = h |(D - i<L>) psi|^2 of psi = r e^{i(theta0 + basis x)}
+    and its exact gradient and (if ``hessian``) Hessian in x, D being the
+    spectral derivative.  With A = D - i<L>, J = i psi basis, u = A psi and
+    w = A u: grad = 2h Im(conj(w) psi) basis and hess = 2h Re((AJ)^H AJ)
+    + 2h basis^T diag(Re(conj(w) psi)) basis - 2 gL gL^T, where
+    gL = -2h Re(conj(D psi) psi) basis is the gradient of <L>.
+    """
+    h = TWO_PI / rv.size
+    mean_l, mean_l2, psi, dpsi = _l_moments(rv, theta0 + basis @ x)
+    u = dpsi - 1j * mean_l * psi
+    w = _spectral_derivative(u) - 1j * mean_l * u
+    value = mean_l2 - mean_l**2
+    grad = 2.0 * h * (np.imag(np.conj(w) * psi) @ basis)
+    if not hessian:
+        return value, grad
+    J = 1j * psi[:, None] * basis
+    AJ = _spectral_derivative(J) - 1j * mean_l * J
+    grad_l = -2.0 * h * (np.real(np.conj(dpsi) * psi) @ basis)
+    curvature = basis.T @ (np.real(np.conj(w) * psi)[:, None] * basis)
+    return value, grad, (
+        2.0 * h * (np.real(AJ.conj().T @ AJ) + curvature) - 2.0 * np.outer(grad_l, grad_l)
+    )
+
+
 def minimize_phase(
     r: ModulusProfile,
     winding: float,
@@ -211,19 +238,20 @@ def minimize_phase(
     correction expanded in PHASE_HARMONICS cosine and sine harmonics, so the
     winding class is enforced exactly rather than fitted.  The default start
     is the zero correction (``initial_coeffs`` overrides it: the cosine then
-    the sine coefficients); for a nowhere-vanishing modulus the converged
-    minimizer is checked against the Euler-Lagrange first integral
+    the sine coefficients).  One Newton trust-region solve (``trust-exact``)
+    runs on the exact gradient and Hessian of the grid objective (see
+    ``_phase_objective``); for a nowhere-vanishing modulus the minimizer is
+    then checked against the Euler-Lagrange first integral
     r^2 (theta' - <L>) = const and against linearity of the phase.
 
     Returns
     -------
     (PhaseProfile, delta_l)
         The minimizing phase (slope = requested winding, offset and fit
-        residual attached, and L-BFGS-B's ``optimizer_success`` and
-        ``optimizer_message``) and its Delta L.  An unsuccessful L-BFGS-B
-        exit is reported there, not raised: it usually means the line search
-        stalled at roundoff, and the Newton polish and the first-integral
-        check below decide whether the minimum is accepted.
+        residual attached, and trust-exact's ``optimizer_success`` and
+        ``optimizer_message``) and its Delta L.  An unsuccessful exit is
+        reported there, not raised; the first-integral check decides whether
+        the minimum is accepted.
 
     Warns
     -----
@@ -235,10 +263,8 @@ def minimize_phase(
     from scipy.optimize import minimize
 
     winding = _check_winding(winding)
-    G = r.grid
-    phi = grid_angles(G)
+    phi = grid_angles(r.grid)
     rv = r.values
-    h = TWO_PI / G
 
     has_zero = r.min_abs <= ZERO_LEVEL * float(np.max(np.abs(rv)))
     if has_zero:
@@ -254,52 +280,23 @@ def minimize_phase(
 
     ns = np.arange(1, PHASE_HARMONICS + 1)
     basis = np.hstack([np.cos(np.outer(phi, ns)), np.sin(np.outer(phi, ns))])
-    dbasis = np.hstack(
-        [-np.sin(np.outer(phi, ns)) * ns, np.cos(np.outer(phi, ns)) * ns]
-    )
-    r2 = rv**2
-
-    def objective(x):
-        theta = winding * phi + basis @ x
-        mean_l, mean_l2, psi, dpsi = _l_moments(rv, theta)
-        val = mean_l2 - mean_l**2
-        # gradient of the variance wrt the correction coefficients
-        u1 = np.imag(np.conj(psi) * dpsi) - mean_l * r2
-        grad = 2.0 * h * (u1 @ dbasis)
-        return val, grad
-
     x0 = np.zeros(2 * PHASE_HARMONICS) if initial_coeffs is None else np.asarray(initial_coeffs, float)
     res = minimize(
-        objective,
+        _phase_objective,
         x0,
+        args=(rv, winding * phi, basis),
         jac=True,
-        method="L-BFGS-B",
-        options=dict(maxiter=2000, ftol=1e-18, gtol=1e-12, maxcor=60, maxls=60),
+        hess=lambda x, *args: _phase_objective(x, *args, hessian=True)[2],
+        method="trust-exact",
+        options=dict(gtol=1e-8),
     )
-    x = res.x
-    # The variance is exactly quadratic in the correction coefficients
-    # (the theta' cross terms cancel), so a Newton polish with the
-    # closed-form Hessian finishes what the line search leaves behind.
-    wts = h * r2
-    A = dbasis.T @ (wts[:, None] * dbasis)
-    bvec = dbasis.T @ wts
-    hessian = 2.0 * (A - np.outer(bvec, bvec))
-    for _ in range(2):
-        _, grad = objective(x)
-        try:
-            x = x - np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            break
-    if objective(x)[0] > objective(res.x)[0]:
-        x = res.x
-    theta = winding * phi + basis @ x
+    theta = winding * phi + basis @ res.x
     profile = replace(
         phase_profile(theta, winding),
         optimizer_success=bool(res.success),
         optimizer_message=str(res.message),
     )
-    mean_l, mean_l2, _, _ = _l_moments(rv, theta)
-    delta_l = math.sqrt(max(mean_l2 - mean_l**2, 0.0))
+    delta_l = math.sqrt(max(res.fun, 0.0))
 
     if admissible:
         fi = first_integral(r, profile)

@@ -8,10 +8,13 @@ The number/phase squeezed states are checked against their closed-form
 Bessel branches, found by root bracketing without any pencil, the banded
 pencil kernels against dense LAPACK (SVD and complex QZ), the two-level
 uncertainty floor against a linear program over the probability simplex, and
-the Newton f table against the same penalty loop solved by L-BFGS-B.
+the Newton f table and phase minimizer against the same problems solved by
+L-BFGS-B.
 """
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,3 +271,95 @@ def f_table_lbfgsb(targets, m: int = 0, *, grid: int = 512) -> pl.FTable:
     return pl.FTable(
         np.asarray(out_t)[order], np.asarray(out_f)[order], np.asarray(out_ok)[order]
     )
+
+
+def minimize_phase_lbfgsb(r: pl.ModulusProfile, winding: float, *, initial_coeffs=None):
+    """Phase minimization by L-BFGS-B on the continuum gradient, then a
+    two-step Newton polish on the continuum Hessian, keeping the better of
+    the two.
+
+    The same problem and parametrization as :func:`packetlab.minimize_phase`
+    (winding * phi plus PHASE_HARMONICS cosine and sine harmonics, the
+    spectral derivative of the assembled psi, the first-integral check), but
+    the gradient is that of the continuum functional rather than of the grid
+    objective being minimized.
+    """
+    from packetlab.variational import (
+        FIRST_INTEGRAL_TOL,
+        PHASE_HARMONICS,
+        ZERO_LEVEL,
+        _check_winding,
+        _l_moments,
+        phase_profile,
+    )
+
+    winding = _check_winding(winding)
+    G = r.grid
+    phi = pl.grid_angles(G)
+    rv = r.values
+    h = 2.0 * np.pi / G
+
+    has_zero = r.min_abs <= ZERO_LEVEL * float(np.max(np.abs(rv)))
+    if has_zero:
+        warnings.warn(
+            "modulus vanishes on the grid; skipping the linear-phase assertion",
+            pl.ModulusZeroWarning,
+        )
+    admissible = (not has_zero) and abs(winding - round(winding)) < 1e-12
+
+    ns = np.arange(1, PHASE_HARMONICS + 1)
+    basis = np.hstack([np.cos(np.outer(phi, ns)), np.sin(np.outer(phi, ns))])
+    dbasis = np.hstack(
+        [-np.sin(np.outer(phi, ns)) * ns, np.cos(np.outer(phi, ns)) * ns]
+    )
+    r2 = rv**2
+
+    def objective(x):
+        theta = winding * phi + basis @ x
+        mean_l, mean_l2, psi, dpsi = _l_moments(rv, theta)
+        val = mean_l2 - mean_l**2
+        # gradient of the continuum variance wrt the correction coefficients
+        u1 = np.imag(np.conj(psi) * dpsi) - mean_l * r2
+        grad = 2.0 * h * (u1 @ dbasis)
+        return val, grad
+
+    x0 = np.zeros(2 * PHASE_HARMONICS) if initial_coeffs is None else np.asarray(initial_coeffs, float)
+    res = minimize(
+        objective,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options=dict(maxiter=2000, ftol=1e-18, gtol=1e-12, maxcor=60, maxls=60),
+    )
+    x = res.x
+    # Newton polish with the continuum Hessian, kept only if it improves
+    wts = h * r2
+    A = dbasis.T @ (wts[:, None] * dbasis)
+    bvec = dbasis.T @ wts
+    hessian = 2.0 * (A - np.outer(bvec, bvec))
+    for _ in range(2):
+        _, grad = objective(x)
+        try:
+            x = x - np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            break
+    if objective(x)[0] > objective(res.x)[0]:
+        x = res.x
+    theta = winding * phi + basis @ x
+    profile = replace(
+        phase_profile(theta, winding),
+        optimizer_success=bool(res.success),
+        optimizer_message=str(res.message),
+    )
+    mean_l, mean_l2, _, _ = _l_moments(rv, theta)
+    delta_l = math.sqrt(max(mean_l2 - mean_l**2, 0.0))
+
+    if admissible:
+        fi = pl.first_integral(r, profile)
+        spread = float(np.max(np.abs(fi - np.mean(fi))))
+        if spread > FIRST_INTEGRAL_TOL:
+            raise pl.ConvergenceError(
+                f"first integral varies by {spread:.2e} > {FIRST_INTEGRAL_TOL}; "
+                "the phase minimization did not converge"
+            )
+    return profile, delta_l

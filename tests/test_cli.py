@@ -1,10 +1,11 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import packetlab as pl
@@ -165,11 +166,13 @@ def test_bad_state_file_exits_2(capsys):
         ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "1e17", "--alpha-step", "0.5"],
         # a grid of 4e17 points: its allocation (beyond any address space) fails at once
         ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "4", "--alpha-step", "1e-17"],
+        ["css", "--S", "0.5", "--ell", "0", "--center", "nan", "-M", "8"],
+        ["css", "--S", "0.5", "--ell", "0", "--center", "inf", "-M", "8"],
     ],
     ids=[
         "zero-step", "negative-step", "min-above-max", "infinite-max",
         "negative-oscillator-alpha", "no-f-targets", "nan-floor-alpha", "nan-pencil-alpha",
-        "max-beyond-truncation", "unallocatable-grid",
+        "max-beyond-truncation", "unallocatable-grid", "nan-center", "infinite-center",
     ],
 )
 def test_bad_pencil_inputs_exit_2(capsys, argv):
@@ -212,11 +215,27 @@ def fuzz_argv(draw):
         argv += ["--grid", "64"]
     else:
         argv += ["--truncation", draw(TRUNCATION)]
-    return argv
+    return argv + ["--output", draw(st.sampled_from(["json", "csv"]))]
+
+
+def assert_no_nan(text: str, output: str) -> None:
+    """An artifact may carry Infinity where documented, never NaN."""
+    if output == "json":
+        def constant(name):
+            assert name != "NaN", text
+            return float(name)
+
+        json.loads(text, parse_constant=constant)
+    else:
+        for line in text.splitlines()[1:]:
+            assert not any(math.isnan(float(field)) for field in line.split(",")), line
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(argv=fuzz_argv())
+# a non-finite center once printed NaN moments with exit 0
+@example(argv=["css", "--S", "0.5", "--ell", "0", "--center", "nan", "--truncation", "8", "--output", "json"])
+@example(argv=["css", "--S", "2", "--ell", "0", "--center", "nan", "--truncation", "8", "--output", "csv"])
 def test_fuzzed_numeric_arguments_keep_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -227,3 +246,5 @@ def test_fuzzed_numeric_arguments_keep_exit_contract(argv):
     # any other exception escaping main would print a traceback
     assert code in (0, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert_no_nan(out.getvalue(), argv[-1])

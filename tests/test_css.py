@@ -49,6 +49,12 @@ def test_non_integer_ell_rejected():
         pl.css_moments(pl.CssParams(1.0, 1.2))
 
 
+@pytest.mark.parametrize("center", [np.nan, np.inf])
+def test_non_finite_center_rejected(center):
+    with pytest.raises(ValueError):
+        pl.CssParams(1.0, 0, center)
+
+
 def test_tail_mass_guard():
     with pytest.raises(pl.TailMassError):
         pl.css_state(pl.CssParams(8.0, 0), pl.ModeWindow.symmetric(12))

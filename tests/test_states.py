@@ -41,6 +41,8 @@ def test_normalize_errors():
         pl.normalize(np.ones(4), w)
     with pytest.raises(ValueError):
         pl.AngularState(w, np.ones(5))  # not normalized
+    with pytest.raises(ValueError):
+        pl.AngularState(w, np.full(5, np.nan))  # NaN norm is not unit
 
 
 def test_coeffs_immutable():

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 import packetlab as pl
-from conftest import f_table_lbfgsb
+from conftest import f_table_lbfgsb, minimize_phase_lbfgsb
 from packetlab import variational
 
 G = 512
 PI_SQRT3 = np.pi / np.sqrt(3)
 # target grid of acceptance criterion 5, as fractions of pi/sqrt(3)
 CRITERION_5_FRACTIONS = [0.05, 0.1, 0.15, 0.25, 0.4, 0.55, 0.7, 0.85, 0.9, 0.95, 0.97, 0.99]
+# moduli and windings of acceptance criterion 6
+CRITERION_6_SEEDS = range(100, 120)
+CRITERION_6_WINDINGS = (-2, -1, 0, 1, 2, 0.5, -0.5)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -80,17 +83,19 @@ def test_minimize_phase_vonmises_matches_css():
     assert dl == pytest.approx(rep.delta_l, abs=1e-9)
 
 
-def test_minimize_phase_from_perturbed_start():
+@pytest.mark.parametrize("winding", [2, 0.5, -0.5])
+def test_minimize_phase_from_perturbed_start(winding):
     rng = np.random.default_rng(5)
     r = pl.random_smooth_modulus(G, 17)
     x0 = 1e-2 * rng.standard_normal(80)
-    prof, dl = pl.minimize_phase(r, 2, initial_coeffs=x0)
-    assert prof.slope == 2.0
-    assert prof.fit_residual <= 1e-6
-    assert pl.mean_l_of(r, prof) == pytest.approx(2.0, abs=1e-8)
-    # the optimizer found the analytic linear-phase value
-    _, dl_linear = pl.minimize_phase(r, 2)
-    assert dl <= dl_linear + 1e-9
+    prof, dl = pl.minimize_phase(r, winding, initial_coeffs=x0)
+    assert prof.slope == winding
+    # the optimizer found the zero start's value, whatever the winding class
+    _, dl_zero = pl.minimize_phase(r, winding)
+    assert abs(dl - dl_zero) <= 1e-9 * dl_zero
+    if winding == round(winding):
+        assert prof.fit_residual <= 1e-6
+        assert pl.mean_l_of(r, prof) == pytest.approx(winding, abs=1e-8)
 
 
 def test_minimize_phase_winding_is_topological():
@@ -162,12 +167,64 @@ def test_f_table_csv_roundtrip():
     )
 
 
-def test_minimize_phase_reports_optimizer_result():
+@pytest.fixture(scope="module")
+def criterion_6_runs():
+    runs = {}
+    for seed in CRITERION_6_SEEDS:
+        r = pl.random_smooth_modulus(G, seed)
+        for w in CRITERION_6_WINDINGS:
+            runs[seed, w] = pl.minimize_phase(r, w)
+    return runs
+
+
+def test_minimize_phase_reports_optimizer_result(criterion_6_runs):
     prof, _ = pl.minimize_phase(pl.random_smooth_modulus(G, 29), 1)
     assert isinstance(prof.optimizer_success, bool)
     assert isinstance(prof.optimizer_message, str) and prof.optimizer_message
     built = pl.linear_phase(G, 1)
     assert built.optimizer_success is None and built.optimizer_message == ""
+    assert len(criterion_6_runs) == 140
+    assert all(prof.optimizer_success for prof, _ in criterion_6_runs.values())
+
+
+def test_minimize_phase_matches_lbfgsb_oracle(criterion_6_runs):
+    for (seed, w), (_, dl) in criterion_6_runs.items():
+        _, dl_oracle = minimize_phase_lbfgsb(pl.random_smooth_modulus(G, seed), w)
+        if w == round(w):
+            assert abs(dl - dl_oracle) <= 1e-12 * dl_oracle, (seed, w)
+        else:
+            # never above the oracle: a higher value would soften the
+            # half-integer floor of criterion 6
+            assert dl <= dl_oracle * (1.0 + 1e-12), (seed, w)
+
+
+@pytest.mark.parametrize("grid", [256, 512])
+@pytest.mark.parametrize("winding", [1, 0.5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_phase_objective_derivatives_match_finite_differences(grid, winding, seed):
+    phi = pl.grid_angles(grid)
+    ns = np.arange(1, variational.PHASE_HARMONICS + 1)
+    basis = np.hstack([np.cos(np.outer(phi, ns)), np.sin(np.outer(phi, ns))])
+    n = basis.shape[1]
+    rng = np.random.default_rng(seed)
+    x = 0.1 * rng.standard_normal(n) / np.tile(ns, 2)
+    args = (pl.random_smooth_modulus(grid, 40 + seed).values, winding * phi, basis)
+    _, grad, hess = variational._phase_objective(x, *args, hessian=True)
+    step = 1e-6 * np.linalg.norm(x)
+    eye = np.eye(n)
+    fd_grad = np.array([
+        (variational._phase_objective(x + step * e, *args)[0]
+         - variational._phase_objective(x - step * e, *args)[0]) / (2.0 * step)
+        for e in eye
+    ])
+    fd_hess = np.array([
+        (variational._phase_objective(x + step * e, *args)[1]
+         - variational._phase_objective(x - step * e, *args)[1]) / (2.0 * step)
+        for e in eye
+    ])
+    assert np.linalg.norm(fd_grad - grad) <= 1e-6 * np.linalg.norm(grad)
+    assert np.linalg.norm(fd_hess - hess) <= 1e-6 * np.linalg.norm(hess)
+    assert np.linalg.norm(hess - hess.T) <= 1e-12 * np.linalg.norm(hess)
 
 
 def test_f_table_explains_each_point():
