@@ -293,8 +293,10 @@ def _cmd_f_scan(args) -> int:
     if args.targets:
         targets = [float(t) for t in args.targets.split(",")]
     else:
+        if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+            raise ValueError("--t-min and --t-max must be finite")
         targets = np.linspace(args.t_min, args.t_max, args.t_count)
-    table = variational.f_table(targets, m=args.m, grid=args.grid)
+    table = variational.f_table(targets, m=args.m)
     if args.output == "csv":
         _emit("\n".join(table.to_csv_rows()), args.out)
     else:

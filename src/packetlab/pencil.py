@@ -77,14 +77,14 @@ from .errors import (
     WindowMismatchError,
 )
 from .operators import OperatorId, OperatorMatrix, build
-from .states import AngularState, ModeWindow, tail_mass
+from .states import TAIL_TOL, AngularState, ModeWindow, tail_mass
 
 # The physicality policy (how each value is used: solve_pencil).  It is fixed
 # here rather than settable per call, so no flag can be reached by tuning a
-# tolerance, and no artifact repeats it.
+# tolerance, and no artifact repeats it.  Its tail-mass bound TAIL_TOL lives
+# in states, next to the tail-mass rule, and f_table shares it.
 S_WINDOW = (0.1, 8.0)
 IMAG_AXIS_RTOL = 1e-8
-TAIL_TOL = 1e-8
 SWEEP_RTOL = 1e-12
 SWEEP_POINTS = 80
 

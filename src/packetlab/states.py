@@ -23,8 +23,10 @@ from .errors import UndersampledError, WindowMismatchError, ZeroNormError
 TWO_PI = 2.0 * np.pi
 
 # Fraction of the mode range counted as the truncation boundary when
-# reporting tail mass.
+# reporting tail mass, and the tail mass below which a state counts as
+# resolved by its truncation.
 TAIL_FRACTION = 0.1
+TAIL_TOL = 1e-8
 
 
 class WindowKind(str, Enum):

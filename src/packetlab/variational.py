@@ -20,11 +20,10 @@ the phase is minimized by Newton trust-region steps on the exact gradient
 and Hessian of that grid objective.
 
 The module also computes the numeric right-hand-side factor f of the
-modified (Judge-type) uncertainty relation by constrained minimization of
-Delta L over even positive modulus profiles at fixed gamma-minimized angle
-spread: an augmented penalty loop whose rounds are each solved by Newton
-trust-region steps on the closed-form gradient and Hessian (Moré & Sorensen,
-SIAM J. Sci. Stat. Comput. 4 (1983)).  The table stores
+modified (Judge-type) uncertainty relation, the least Delta L at fixed
+angle spread Delta phi_p, as the ground state of L^2 + mu Phi_p^2 (the
+classical route to the Judge bound, Carruthers & Nieto, Rev. Mod. Phys. 40,
+411 (1968); see ``f_table``).  The table stores
 
     f = [2 Delta L Delta phi_p / (1 - 3 Delta phi_p^2 / pi^2)]^2,
 
@@ -43,8 +42,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, IntegerWindingError, ModulusZeroWarning
-from .moments import PHI_P_MAX, minimized_second_moment
-from .states import TWO_PI, grid_angles
+from .moments import PHI_P_MAX, moments
+from .operators import OperatorId, build
+from .states import TAIL_TOL, TWO_PI, ModeWindow, grid_angles, normalize, tail_mass
 
 #: profiles whose smallest |r| is below this (relative) level are treated as
 #: vanishing somewhere; linear-phase optimality is then not asserted
@@ -55,11 +55,14 @@ PHASE_HARMONICS = 40
 #: largest variation of the first integral accepted from a converged minimizer
 FIRST_INTEGRAL_TOL = 1e-6
 
-#: f_table: cosine harmonics of the modulus square root g, the accepted
-#: |Delta phi_p - target|, and the cap on augmented-penalty rounds per target
-F_MODULUS_HARMONICS = 32
+#: f_table: the mode window -F_MODES..F_MODES of the ground state, the
+#: accepted |Delta phi_p - target|, and the cap on Newton steps per target
+F_MODES = 64
 F_CONSTRAINT_TOL = 1e-6
 F_MAX_OUTER = 20
+#: f_table's Newton steps stop below this |Delta phi_p - target|; roundoff in
+#: the ground state (about eps F_MODES^2 over the spectral gap) is ~1e-12
+F_NEWTON_TOL = 1e-10
 
 #: random_smooth_modulus: harmonics of log r, and the ripple amplitude of the
 #: first harmonic (harmonic n is scaled by ripple / n)
@@ -149,9 +152,17 @@ def linear_phase(G: int, winding: float, offset: float = 0.0) -> PhaseProfile:
 
 
 def _spectral_derivative(u: np.ndarray) -> np.ndarray:
-    """Derivative of the grid samples along axis 0 (one column per function)."""
+    """Derivative of the grid samples along axis 0 (one column per function).
+
+    For even G the Nyquist coefficient is dropped: its mode e^{-i G phi / 2}
+    equals e^{+i G phi / 2} on the grid, so it has no one-signed derivative,
+    and keeping -G/2 would favor one sense of winding over the other.
+    """
     G = u.shape[0]
-    k = np.fft.fftfreq(G, d=1.0 / G).reshape((G,) + (1,) * (u.ndim - 1))
+    k = np.fft.fftfreq(G, d=1.0 / G)
+    if G % 2 == 0:
+        k[G // 2] = 0.0
+    k = k.reshape((G,) + (1,) * (u.ndim - 1))
     return np.fft.ifft(1j * k * np.fft.fft(u, axis=0), axis=0)
 
 
@@ -316,9 +327,10 @@ def minimize_phase(
 class FTable:
     """Sampled f(Delta phi_p), squared normalization (1 at 0, 35/8 at max).
 
-    ``rounds`` is the number of penalty rounds each point took and
-    ``violation`` its final |Delta phi_p - target|; a table read back from
-    CSV did not record them and carries rounds 0 and violation NaN.
+    ``rounds`` is the number of Newton steps (eigendecompositions) each
+    point took and ``violation`` its final |Delta phi_p - target|; a table
+    read back from CSV did not record them and carries rounds 0 and
+    violation NaN.
     """
 
     delta_phi_p: np.ndarray
@@ -362,194 +374,75 @@ def read_f_table(lines) -> FTable:
     return FTable(data[:, 0], data[:, 1], data[:, 2].astype(bool))
 
 
-def _density_bk(rho: np.ndarray, kmax: int) -> np.ndarray:
-    """b_k = integral rho e^{-i k phi} dphi on the grid starting at -pi."""
-    G = rho.size
-    F = np.fft.fft(rho) * (TWO_PI / G)
-    ks = np.arange(kmax + 1)
-    return F[ks] * (-1.0) ** ks
+def f_table(targets, m: int = 0) -> FTable:
+    """Tabulate f by minimizing Delta L at fixed Delta phi_p.
 
+    For an even real modulus with the linear phase theta = m phi,
+    (Delta L)^2 = <(L - m)^2>, so each point minimizes one quadratic form at
+    a fixed value <phi_p^2> = t^2 of another.  By strong duality for two
+    quadratic forms (Polik & Terlaky, SIAM Rev. 49 (2007)) the minimizer is
+    the ground state |0> of H(mu) = L^2 + mu Phi_p^2
+    on the F_MODES window, at the mu > 0 where sqrt(<0|Phi_p^2|0>) = t.
+    That mu is found by Newton steps in log mu, at most F_MAX_OUTER per
+    target and each clipped to +-3, from the narrow-packet (oscillator)
+    value mu = 1 / (4 t^4), so a target the window cannot meet leaves the
+    others untouched.  One ``eigh`` of H(mu) gives both derivatives of the
+    ground energy E0: <phi_p^2> = E0'(mu) and
+    E0'' = -2 sum_n |<n|Phi_p^2|0>|^2 / (E_n - E0).
 
-def _f_basis(G: int):
-    """Grid step, cosine basis of g and its derivative, the Fourier series of
-    phi_p^2 on the grid, and the harmonic cutoff kmax of that series."""
-    h = TWO_PI / G
-    phi = grid_angles(G)
-    ns = np.arange(F_MODULUS_HARMONICS)
-    COS = np.cos(np.outer(phi, ns))
-    DCOS = -np.sin(np.outer(phi, ns)) * ns
-    # Fourier series of phi_p^2 truncated far beyond the density bandwidth,
-    # hence exact for these profiles.
-    kmax = min(4 * F_MODULUS_HARMONICS + 8, G // 2 - 1)
-    ks = np.arange(1, kmax + 1)
-    w2 = np.pi**2 / 3.0 + (4.0 * (-1.0) ** ks / ks.astype(float) ** 2) @ np.cos(
-        np.outer(ks, phi)
-    )
-    return h, COS, DCOS, w2, kmax
-
-
-def _f_pieces(q, basis, hessian=False):
-    """Z = h sum g^4, dl2 = P/Z = (Delta L)^2 and V0 = W/Z = <phi_p^2> of
-    r = g^2 with g = COS q, then their gradients, then (if ``hessian``) their
-    Hessians.
-
-    Each Hessian is a sum of weighted Gram matrices of the two bases plus the
-    quotient-rule outer products:
-    d2(N/Z) = (d2N - (N/Z) d2Z - d(N/Z) dZ^T - dZ d(N/Z)^T) / Z.
-    """
-    h, COS, DCOS, w2, _ = basis
-    g = COS @ q
-    gp = DCOS @ q
-    g2 = g * g
-    g3 = g2 * g
-    g4 = g2 * g2
-    Z = h * np.sum(g4)
-    dl2 = 4.0 * h * np.sum(g2 * gp * gp) / Z
-    V0 = h * np.sum(g4 * w2) / Z
-    dZ = 4.0 * h * (g3 @ COS)
-    ddl2 = (8.0 * h * ((g * gp * gp) @ COS + (g2 * gp) @ DCOS) - dl2 * dZ) / Z
-    dV0 = (4.0 * h * ((g3 * w2) @ COS) - V0 * dZ) / Z
-    if not hessian:
-        return (Z, dl2, V0), (dZ, ddl2, dV0)
-
-    def gram(a, w, b):
-        return a.T @ (w[:, None] * b)
-
-    def quotient(d2N, F, dF):
-        outer = np.outer(dF, dZ)
-        return (d2N - F * HZ - outer - outer.T) / Z
-
-    HZ = 12.0 * h * gram(COS, g2, COS)
-    cross = gram(COS, g * gp, DCOS)
-    Hdl2 = quotient(
-        8.0 * h * (gram(COS, gp * gp, COS) + 2.0 * (cross + cross.T) + gram(DCOS, g2, DCOS)),
-        dl2,
-        ddl2,
-    )
-    HV0 = quotient(12.0 * h * gram(COS, g2 * w2, COS), V0, dV0)
-    return (Z, dl2, V0), (dZ, ddl2, dV0), (HZ, Hdl2, HV0)
-
-
-def _f_penalized(q, basis, t, y, mu, hessian=False):
-    """Value and gradient, plus the Hessian if asked, of the penalty
-    subproblem dl2 + y c + mu c^2 / 2 + (Z - 1)^2 / 2 with c = sqrt(V0) - t.
-
-    dl2 and c are homogeneous of degree 0 in q, so without the last term the
-    Hessian is singular along q; the gauge term fixes the scale at Z = 1 and
-    leaves every minimizing shape unchanged.
-    """
-    (Z, dl2, V0), (dZ, ddl2, dV0), *second = _f_pieces(q, basis, hessian)
-    dp = math.sqrt(V0)
-    c = dp - t
-    dc = dV0 / (2.0 * dp)
-    lam = y + mu * c
-    value = dl2 + y * c + 0.5 * mu * c * c + 0.5 * (Z - 1.0) ** 2
-    grad = ddl2 + lam * dc + (Z - 1.0) * dZ
-    if not hessian:
-        return value, grad
-    HZ, Hdl2, HV0 = second[0]
-    Hc = HV0 / (2.0 * dp) - np.outer(dV0, dV0) / (4.0 * dp**3)
-    return value, grad, (
-        Hdl2 + lam * Hc + mu * np.outer(dc, dc) + np.outer(dZ, dZ) + (Z - 1.0) * HZ
-    )
-
-
-def _f_penalized_hessian(q, basis, t, y, mu):
-    return _f_penalized(q, basis, t, y, mu, hessian=True)[2]
-
-
-def f_table(targets, m: int = 0, *, grid: int = 512) -> FTable:
-    """Tabulate f by constrained minimization of Delta L at fixed Delta phi_p.
-
-    The modulus is an even, nonnegative profile r = g^2 with g expanded in
-    F_MODULUS_HARMONICS cosine harmonics on a ``grid``-point angle grid; the
-    phase is the linear theta = m phi, so (Delta L)^2 reduces to
-    integral r'^2 dphi and the slope m only enters through the assembled
-    state used for the reported value.  Each target is met by an augmented
-    penalty loop with multiplier updates, at most F_MAX_OUTER rounds, until
-    |Delta phi_p - target| <= F_CONSTRAINT_TOL.  Every round is a smooth
-    unconstrained problem in the F_MODULUS_HARMONICS coefficients of g, solved
-    by Newton trust-region steps (``trust-exact``) on its closed-form
-    gradient and Hessian, with a scale gauge that pins h sum g^4 = 1 (see
-    ``_f_penalized``).  The inner solver's own success flag is not used:
-    ``converged`` means the constraint tolerance was met.  Points that fail
-    to meet it are reported with ``converged`` False rather than dropped, and
-    every point carries its penalty ``rounds`` and final ``violation``.
+    The ground state, shifted by m modes, is reported through ``moments``:
+    its Delta L and its gamma-minimized Delta phi_p.  A point is
+    ``converged`` when |Delta phi_p - target| <= F_CONSTRAINT_TOL and the
+    ground state's tail mass is below ``states.TAIL_TOL``; points that fail
+    either are reported, not dropped.  Every point carries its Newton
+    ``rounds`` (eigendecompositions) and final ``violation``.
 
     Targets must be a nonempty list strictly inside (0, pi/sqrt(3)); the
     returned table is sorted by Delta phi_p.
     """
-    from scipy.optimize import minimize
-
     if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
         raise IntegerWindingError(f"phase slope must be an integer, got {m}")
     m = int(round(m))
     targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
     if targets.size == 0:
         raise ValueError("no Delta phi_p targets given")
-    if np.any(targets <= 0.0) or np.any(targets >= PHI_P_MAX):
+    if not np.all((targets > 0.0) & (targets < PHI_P_MAX)):
         raise ValueError(f"targets must lie strictly inside (0, {PHI_P_MAX})")
 
-    G = grid
-    basis = _f_basis(G)
-    _, COS, _, _, kmax = basis
-    phi = grid_angles(G)
+    window = ModeWindow.symmetric(F_MODES)
+    L2 = np.diag(window.modes.astype(float) ** 2)
+    P2 = build(OperatorId.PHI_P_SQUARED, window).entries.real
+    shifted = ModeWindow.symmetric(F_MODES + abs(m))
 
-    def solve_target(t, q0):
-        y, mu = 0.0, 100.0
-        q = q0.copy()
-        viol_prev = None
-        for rounds in range(1, F_MAX_OUTER + 1):
-            res = minimize(
-                _f_penalized,
-                q,
-                args=(basis, t, y, mu),
-                jac=True,
-                hess=_f_penalized_hessian,
-                method="trust-exact",
-                options=dict(gtol=1e-12),
-            )
-            q = res.x
-            (_, _, V0), _ = _f_pieces(q, basis)
-            c = math.sqrt(V0) - t
-            if abs(c) <= F_CONSTRAINT_TOL:
-                break
-            y += mu * c
-            if viol_prev is not None and abs(c) > 0.25 * abs(viol_prev):
-                mu *= 10.0
-            viol_prev = c
-        return q, rounds, abs(c)
-
-    # first start: von Mises bump whose width roughly matches the first
-    # target, scaled to the gauge h sum g^4 = 1
-    kappa = max(0.05, 1.0 / targets[0] ** 2)
-    q = np.linalg.lstsq(COS, np.exp(0.25 * kappa * (np.cos(phi) - 1.0)), rcond=None)[0]
-    (Z, _, _), _ = _f_pieces(q, basis)
-    q /= Z**0.25
-
-    out_t, out_f, out_rounds, out_viol = [], [], [], []
+    out_t, out_f, out_rounds, out_viol, out_ok = [], [], [], [], []
     for t in targets:
-        q, rounds, viol = solve_target(t, q)
-        g = COS @ q
-        r = modulus_profile(g * g)
-        # report through the assembled-state path so the slope m is exercised
-        dl = delta_l_of(r, linear_phase(G, m))
-        rho = r.values**2
-        vmin, _ = minimized_second_moment(_density_bk(rho, kmax))
-        dp = math.sqrt(max(vmin, 0.0))
-        flin = 2.0 * dl * dp / (1.0 - 3.0 * dp**2 / math.pi**2)
+        mu = 0.25 / t**4
+        for rounds in range(1, F_MAX_OUTER + 1):
+            E, V = np.linalg.eigh(L2 + mu * P2)
+            p = V.T @ (P2 @ V[:, 0])  # <n|Phi_p^2|0>
+            dp = math.sqrt(p[0])
+            if abs(dp - t) <= F_NEWTON_TOL:
+                break
+            d2 = -2.0 * float(np.sum(p[1:] ** 2 / (E[1:] - E[0])))  # E0''
+            slope = mu * d2 / (2.0 * dp)  # d sqrt(E0') / d log mu
+            mu *= math.exp(min(max((t - dp) / slope, -3.0), 3.0))
+        c = np.zeros(shifted.dimension)
+        c[abs(m) + m : abs(m) + m + window.dimension] = V[:, 0]
+        rep = moments(normalize(c, shifted))
+        dp = rep.delta_phi_p
+        flin = 2.0 * rep.delta_l * dp / (1.0 - 3.0 * dp**2 / math.pi**2)
         out_t.append(dp)
         out_f.append(flin**2)
         out_rounds.append(rounds)
-        out_viol.append(viol)
+        out_viol.append(abs(dp - t))
+        out_ok.append(abs(dp - t) <= F_CONSTRAINT_TOL and tail_mass(V[:, 0], window) < TAIL_TOL)
     order = np.argsort(out_t)
-    out_viol = np.asarray(out_viol)[order]
     return FTable(
         np.asarray(out_t)[order],
         np.asarray(out_f)[order],
-        out_viol <= F_CONSTRAINT_TOL,
+        np.asarray(out_ok)[order],
         rounds=np.asarray(out_rounds)[order],
-        violation=out_viol,
+        violation=np.asarray(out_viol)[order],
     )
 
 
@@ -579,6 +472,8 @@ def uniform_modulus(G: int) -> ModulusProfile:
 
 
 def vonmises_modulus(G: int, kappa: float) -> ModulusProfile:
+    if not math.isfinite(kappa):
+        raise ValueError(f"von Mises concentration must be finite, got {kappa}")
     phi = grid_angles(G)
     return modulus_profile(np.exp(0.5 * kappa * (np.cos(phi) - 1.0)))
 

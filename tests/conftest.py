@@ -8,8 +8,8 @@ The number/phase squeezed states are checked against their closed-form
 Bessel branches, found by root bracketing without any pencil, the banded
 pencil kernels against dense LAPACK (SVD and complex QZ), the two-level
 uncertainty floor against a linear program over the probability simplex, and
-the Newton f table and phase minimizer against the same problems solved by
-L-BFGS-B.
+the ground-state f table and the Newton phase minimizer against the same
+problems solved by L-BFGS-B.
 """
 
 import math
@@ -175,22 +175,29 @@ def uncertainty_floor_bruteforce(A: pl.OperatorMatrix, alpha: float) -> float:
     return math.sqrt(max(res.fun, 0.0))
 
 
-def f_table_lbfgsb(targets, m: int = 0, *, grid: int = 512) -> pl.FTable:
-    """f table by the augmented penalty loop with L-BFGS-B inner solves.
+# f_table_lbfgsb: cosine harmonics of the modulus square root g
+F_MODULUS_HARMONICS = 32
 
-    The same problem as :func:`packetlab.f_table` (modulus r = g^2, g in
-    F_MODULUS_HARMONICS cosine harmonics, von Mises start, multiplier and
-    penalty updates, reporting through the assembled state), but every
-    penalty round is minimized by a quasi-Newton line search on the
-    gradient alone, with no Hessian and no scale gauge.
+
+def _density_bk(rho: np.ndarray, kmax: int) -> np.ndarray:
+    """b_k = integral rho e^{-i k phi} dphi on the grid starting at -pi."""
+    F = np.fft.fft(rho) * (2.0 * np.pi / rho.size)
+    ks = np.arange(kmax + 1)
+    return F[ks] * (-1.0) ** ks
+
+
+def f_table_lbfgsb(targets, m: int = 0, *, grid: int = 512) -> pl.FTable:
+    """f table by direct minimization over modulus profiles on an angle grid.
+
+    The same problem as :func:`packetlab.f_table`, solved without its
+    ground-state duality: the modulus is r = g^2 with g in
+    F_MODULUS_HARMONICS cosine harmonics on ``grid`` angles, each target is
+    met by an augmented penalty loop (von Mises start, multiplier and
+    penalty updates), every penalty round is minimized by L-BFGS-B on the
+    gradient alone, and each point is reported through the assembled state.
     """
     from packetlab.moments import minimized_second_moment
-    from packetlab.variational import (
-        F_CONSTRAINT_TOL,
-        F_MAX_OUTER,
-        F_MODULUS_HARMONICS,
-        _density_bk,
-    )
+    from packetlab.variational import F_CONSTRAINT_TOL, F_MAX_OUTER
 
     targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
     G = grid

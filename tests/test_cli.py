@@ -231,6 +231,7 @@ def assert_no_nan(text: str, output: str) -> None:
             assert not any(math.isnan(float(field)) for field in line.split(",")), line
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(argv=fuzz_argv())
 # a non-finite center once printed NaN moments with exit 0
