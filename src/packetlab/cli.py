@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, default=0.1 * PHI_P_MAX)
     p.add_argument("--t-max", type=float, default=0.95 * PHI_P_MAX)
     p.add_argument("--t-count", type=int, default=10)
-    p.add_argument("--m", type=float, default=0, help="integer phase slope")
     _add_common(p)
 
     return parser
@@ -296,7 +295,7 @@ def _cmd_f_scan(args) -> int:
         if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
             raise ValueError("--t-min and --t-max must be finite")
         targets = np.linspace(args.t_min, args.t_max, args.t_count)
-    table = variational.f_table(targets, m=args.m)
+    table = variational.f_table(targets)
     if args.output == "csv":
         _emit("\n".join(table.to_csv_rows()), args.out)
     else:

@@ -39,7 +39,7 @@ from .moments import MomentReport, minimized_second_moment, circular_coefficient
 from .states import AngularState, ModeWindow
 
 # Relative coefficient mass allowed outside the window at construction.
-TAIL_TOL = 1e-10
+OUTSIDE_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def css_state(params: CssParams, window: ModeWindow) -> AngularState:
     IntegerWindingError
         For non-integer ``ell``; such a function would not be periodic.
     TailMassError
-        When the Bessel tail outside the window exceeds 1e-10; enlarge M or
-        reduce the squeezing.
+        When the Bessel tail outside the window reaches OUTSIDE_MASS_TOL
+        (1e-10); enlarge M or reduce the squeezing.
     """
     if not window.is_symmetric:
         raise IncompatibleFamilyError("circular squeezed states need a symmetric window")
@@ -94,7 +94,7 @@ def css_state(params: CssParams, window: ModeWindow) -> AngularState:
     k = np.abs(m - ell)
     inside = np.sum(squares[k])
     tail = max(0.0, 1.0 - inside / total)
-    if tail >= TAIL_TOL:
+    if tail >= OUTSIDE_MASS_TOL:
         raise TailMassError(
             f"squeezing S={S} with l={ell} leaves relative mass {tail:.3e} "
             f"outside the window M={M}"

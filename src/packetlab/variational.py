@@ -23,7 +23,8 @@ The module also computes the numeric right-hand-side factor f of the
 modified (Judge-type) uncertainty relation, the least Delta L at fixed
 angle spread Delta phi_p, as the ground state of L^2 + mu Phi_p^2 (the
 classical route to the Judge bound, Carruthers & Nieto, Rev. Mod. Phys. 40,
-411 (1968); see ``f_table``).  The table stores
+411 (1968)), each point read straight off that state (see ``f_table``).
+The table stores
 
     f = [2 Delta L Delta phi_p / (1 - 3 Delta phi_p^2 / pi^2)]^2,
 
@@ -42,9 +43,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, IntegerWindingError, ModulusZeroWarning
-from .moments import PHI_P_MAX, moments
+from .moments import PHI_P_MAX
 from .operators import OperatorId, build
-from .states import TAIL_TOL, TWO_PI, ModeWindow, grid_angles, normalize, tail_mass
+from .states import TAIL_TOL, TWO_PI, ModeWindow, grid_angles, tail_mass
 
 #: profiles whose smallest |r| is below this (relative) level are treated as
 #: vanishing somewhere; linear-phase optimality is then not asserted
@@ -55,13 +56,13 @@ PHASE_HARMONICS = 40
 #: largest variation of the first integral accepted from a converged minimizer
 FIRST_INTEGRAL_TOL = 1e-6
 
-#: f_table: the mode window -F_MODES..F_MODES of the ground state, the
-#: accepted |Delta phi_p - target|, and the cap on Newton steps per target
+#: f_table: the mode window -F_MODES..F_MODES of the ground state and the
+#: cap on Newton steps per target
 F_MODES = 64
-F_CONSTRAINT_TOL = 1e-6
 F_MAX_OUTER = 20
-#: f_table's Newton steps stop below this |Delta phi_p - target|; roundoff in
-#: the ground state (about eps F_MODES^2 over the spectral gap) is ~1e-12
+#: f_table's Newton steps stop below this |Delta phi_p - target|, which is
+#: also what ``converged`` requires; roundoff in the ground state (about
+#: eps F_MODES^2 over the spectral gap) is ~1e-12
 F_NEWTON_TOL = 1e-10
 
 #: random_smooth_modulus: harmonics of log r, and the ripple amplitude of the
@@ -75,14 +76,11 @@ class ModulusProfile:
     """Real modulus samples on the uniform grid, normalized to unit power."""
 
     values: np.ndarray
-    periodicity: str = "periodic"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 8:
             raise ValueError("need a 1-d modulus vector of length >= 8")
-        if self.periodicity not in ("periodic", "antiperiodic"):
-            raise ValueError(f"unknown periodicity class {self.periodicity!r}")
         power = TWO_PI / v.size * float(np.sum(v**2))
         if abs(power - 1.0) > 1e-10:
             raise ValueError(
@@ -106,13 +104,13 @@ class ModulusProfile:
         return float(np.min(np.abs(self.values)))
 
 
-def modulus_profile(values, periodicity: str = "periodic") -> ModulusProfile:
+def modulus_profile(values) -> ModulusProfile:
     """Normalize samples so that integral r^2 dphi = 1."""
     v = np.asarray(values, dtype=float)
     power = TWO_PI / v.size * float(np.sum(v**2))
     if power <= 0.0 or not np.isfinite(power):
         raise ValueError("modulus has no power")
-    return ModulusProfile(v / math.sqrt(power), periodicity)
+    return ModulusProfile(v / math.sqrt(power))
 
 
 @dataclass(frozen=True)
@@ -328,9 +326,9 @@ class FTable:
     """Sampled f(Delta phi_p), squared normalization (1 at 0, 35/8 at max).
 
     ``rounds`` is the number of Newton steps (eigendecompositions) each
-    point took and ``violation`` its final |Delta phi_p - target|; a table
-    read back from CSV did not record them and carries rounds 0 and
-    violation NaN.
+    point took and ``violation`` its final |Delta phi_p - target| (at most
+    F_NEWTON_TOL where converged); a table read back from CSV did not record
+    them and carries rounds 0 and violation NaN.
     """
 
     delta_phi_p: np.ndarray
@@ -374,25 +372,28 @@ def read_f_table(lines) -> FTable:
     return FTable(data[:, 0], data[:, 1], data[:, 2].astype(bool))
 
 
-def f_table(targets, m: int = 0) -> FTable:
+def f_table(targets) -> FTable:
     """Tabulate f by minimizing Delta L at fixed Delta phi_p.
 
     For an even real modulus with the linear phase theta = m phi,
-    (Delta L)^2 = <(L - m)^2>, so each point minimizes one quadratic form at
-    a fixed value <phi_p^2> = t^2 of another.  By strong duality for two
-    quadratic forms (Polik & Terlaky, SIAM Rev. 49 (2007)) the minimizer is
-    the ground state |0> of H(mu) = L^2 + mu Phi_p^2
-    on the F_MODES window, at the mu > 0 where sqrt(<0|Phi_p^2|0>) = t.
-    That mu is found by Newton steps in log mu, at most F_MAX_OUTER per
-    target and each clipped to +-3, from the narrow-packet (oscillator)
-    value mu = 1 / (4 t^4), so a target the window cannot meet leaves the
-    others untouched.  One ``eigh`` of H(mu) gives both derivatives of the
-    ground energy E0: <phi_p^2> = E0'(mu) and
+    (Delta L)^2 = <(L - m)^2>, which is <L^2> of the modulus (a shift by m
+    modes leaves |psi|^2 alone, so f does not depend on m).  Each point thus
+    minimizes one quadratic form at a fixed value <phi_p^2> = t^2 of
+    another.  By strong duality for two quadratic forms (Polik & Terlaky,
+    SIAM Rev. 49 (2007)) the minimizer is the ground state |0> of
+    H(mu) = L^2 + mu Phi_p^2 on the F_MODES window, at the mu > 0 where
+    sqrt(<0|Phi_p^2|0>) = t.  That mu is found by Newton steps in log mu,
+    at most F_MAX_OUTER per target and each clipped to +-3, from the
+    narrow-packet (oscillator) value mu = 1 / (4 t^4), so a target the
+    window cannot meet leaves the others untouched.  One ``eigh`` of H(mu)
+    gives both derivatives of the ground energy E0: <phi_p^2> = E0'(mu) and
     E0'' = -2 sum_n |<n|Phi_p^2|0>|^2 / (E_n - E0).
 
-    The ground state, shifted by m modes, is reported through ``moments``:
-    its Delta L and its gamma-minimized Delta phi_p.  A point is
-    ``converged`` when |Delta phi_p - target| <= F_CONSTRAINT_TOL and the
+    Each point is read off the last ``eigh``: Delta phi_p =
+    sqrt(<0|Phi_p^2|0>) and (Delta L)^2 = <0|L^2|0> - <0|L|0>^2.  No gamma
+    search is needed: a rotation of |0> keeps <L^2>, so |0> already has the
+    least <phi_p^2> of its rotations (gamma* = 0).  A point is
+    ``converged`` when |Delta phi_p - target| <= F_NEWTON_TOL and the
     ground state's tail mass is below ``states.TAIL_TOL``; points that fail
     either are reported, not dropped.  Every point carries its Newton
     ``rounds`` (eigendecompositions) and final ``violation``.
@@ -400,9 +401,6 @@ def f_table(targets, m: int = 0) -> FTable:
     Targets must be a nonempty list strictly inside (0, pi/sqrt(3)); the
     returned table is sorted by Delta phi_p.
     """
-    if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
-        raise IntegerWindingError(f"phase slope must be an integer, got {m}")
-    m = int(round(m))
     targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
     if targets.size == 0:
         raise ValueError("no Delta phi_p targets given")
@@ -410,9 +408,9 @@ def f_table(targets, m: int = 0) -> FTable:
         raise ValueError(f"targets must lie strictly inside (0, {PHI_P_MAX})")
 
     window = ModeWindow.symmetric(F_MODES)
-    L2 = np.diag(window.modes.astype(float) ** 2)
+    modes = window.modes.astype(float)
+    L2 = np.diag(modes**2)
     P2 = build(OperatorId.PHI_P_SQUARED, window).entries.real
-    shifted = ModeWindow.symmetric(F_MODES + abs(m))
 
     out_t, out_f, out_rounds, out_viol, out_ok = [], [], [], [], []
     for t in targets:
@@ -426,16 +424,14 @@ def f_table(targets, m: int = 0) -> FTable:
             d2 = -2.0 * float(np.sum(p[1:] ** 2 / (E[1:] - E[0])))  # E0''
             slope = mu * d2 / (2.0 * dp)  # d sqrt(E0') / d log mu
             mu *= math.exp(min(max((t - dp) / slope, -3.0), 3.0))
-        c = np.zeros(shifted.dimension)
-        c[abs(m) + m : abs(m) + m + window.dimension] = V[:, 0]
-        rep = moments(normalize(c, shifted))
-        dp = rep.delta_phi_p
-        flin = 2.0 * rep.delta_l * dp / (1.0 - 3.0 * dp**2 / math.pi**2)
+        c2 = V[:, 0] ** 2
+        var_l = max(float(modes**2 @ c2 - (modes @ c2) ** 2), 0.0)
+        flin = 2.0 * math.sqrt(var_l) * dp / (1.0 - 3.0 * dp**2 / math.pi**2)
         out_t.append(dp)
         out_f.append(flin**2)
         out_rounds.append(rounds)
         out_viol.append(abs(dp - t))
-        out_ok.append(abs(dp - t) <= F_CONSTRAINT_TOL and tail_mass(V[:, 0], window) < TAIL_TOL)
+        out_ok.append(abs(dp - t) <= F_NEWTON_TOL and tail_mass(V[:, 0], window) < TAIL_TOL)
     order = np.argsort(out_t)
     return FTable(
         np.asarray(out_t)[order],
@@ -482,7 +478,7 @@ def half_winding_modulus(G: int) -> ModulusProfile:
     """cos(phi/2): the antiperiodic modulus whose half-integer packet
     attains Delta L = 1/2."""
     phi = grid_angles(G)
-    return modulus_profile(np.cos(0.5 * phi), periodicity="antiperiodic")
+    return modulus_profile(np.cos(0.5 * phi))
 
 
 def random_smooth_modulus(G: int, seed: int) -> ModulusProfile:

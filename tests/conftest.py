@@ -8,8 +8,9 @@ The number/phase squeezed states are checked against their closed-form
 Bessel branches, found by root bracketing without any pencil, the banded
 pencil kernels against dense LAPACK (SVD and complex QZ), the two-level
 uncertainty floor against a linear program over the probability simplex, and
-the ground-state f table and the Newton phase minimizer against the same
-problems solved by L-BFGS-B.
+the ground-state f table against the same ground states reported through
+the gamma-searching moment engine, and the f table and the Newton phase
+minimizer against the same problems solved by L-BFGS-B.
 """
 
 import math
@@ -175,6 +176,52 @@ def uncertainty_floor_bruteforce(A: pl.OperatorMatrix, alpha: float) -> float:
     return math.sqrt(max(res.fun, 0.0))
 
 
+def f_table_via_moments(targets, m: int = 0) -> pl.FTable:
+    """f table from the same ground states, reported through ``moments``.
+
+    The Newton loop of :func:`packetlab.f_table` finds the ground state of
+    L^2 + mu Phi_p^2 for each target; here that state is shifted by m modes
+    (phase slope m) and handed to the moment engine, whose Delta L is taken
+    about the shifted mean and whose Delta phi_p comes from its coarse scan
+    and golden-section search over gamma.  A point counts as converged when
+    it is within F_CONSTRAINT_TOL of its target and the ground state's tail
+    mass is below ``states.TAIL_TOL``.
+    """
+    from packetlab.states import TAIL_TOL, tail_mass
+    from packetlab.variational import F_MAX_OUTER, F_MODES, F_NEWTON_TOL
+
+    F_CONSTRAINT_TOL = 1e-6
+    targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
+    window = pl.ModeWindow.symmetric(F_MODES)
+    L2 = np.diag(window.modes.astype(float) ** 2)
+    P2 = pl.build(pl.OperatorId.PHI_P_SQUARED, window).entries.real
+    shifted_window = pl.ModeWindow.symmetric(F_MODES + abs(m))
+
+    out_t, out_f, out_ok = [], [], []
+    for t in targets:
+        mu = 0.25 / t**4
+        for _ in range(F_MAX_OUTER):
+            E, V = np.linalg.eigh(L2 + mu * P2)
+            p = V.T @ (P2 @ V[:, 0])
+            dp = math.sqrt(p[0])
+            if abs(dp - t) <= F_NEWTON_TOL:
+                break
+            d2 = -2.0 * float(np.sum(p[1:] ** 2 / (E[1:] - E[0])))
+            mu *= math.exp(min(max((t - dp) / (mu * d2 / (2.0 * dp)), -3.0), 3.0))
+        c = np.zeros(shifted_window.dimension)
+        c[abs(m) + m : abs(m) + m + window.dimension] = V[:, 0]
+        rep = pl.moments(pl.normalize(c, shifted_window))
+        dp = rep.delta_phi_p
+        flin = 2.0 * rep.delta_l * dp / (1.0 - 3.0 * dp**2 / math.pi**2)
+        out_t.append(dp)
+        out_f.append(flin**2)
+        out_ok.append(abs(dp - t) <= F_CONSTRAINT_TOL and tail_mass(V[:, 0], window) < TAIL_TOL)
+    order = np.argsort(out_t)
+    return pl.FTable(
+        np.asarray(out_t)[order], np.asarray(out_f)[order], np.asarray(out_ok)[order]
+    )
+
+
 # f_table_lbfgsb: cosine harmonics of the modulus square root g
 F_MODULUS_HARMONICS = 32
 
@@ -197,7 +244,9 @@ def f_table_lbfgsb(targets, m: int = 0, *, grid: int = 512) -> pl.FTable:
     gradient alone, and each point is reported through the assembled state.
     """
     from packetlab.moments import minimized_second_moment
-    from packetlab.variational import F_CONSTRAINT_TOL, F_MAX_OUTER
+    from packetlab.variational import F_MAX_OUTER
+
+    F_CONSTRAINT_TOL = 1e-6  # accepted |Delta phi_p - t| of a penalty loop
 
     targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
     G = grid

@@ -12,9 +12,8 @@ from conftest import (
     uncertainty_floor_bruteforce,
 )
 
-# The banded kernels rescale instead of overflowing; any overflow is a failure.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
+# The banded kernels rescale instead of overflowing; any overflow is a
+# failure (pyproject.toml turns every RuntimeWarning into an error).
 SYM = pl.ModeWindow.symmetric
 
 
