@@ -71,14 +71,6 @@ def _load_state(path: str) -> states.AngularState:
     return states.state_from_json(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--truncation", "-M", type=int, default=64, help="mode cutoff M (default 64)")
-    p.add_argument("--grid", "-G", type=int, default=512, help="angular grid size (default 512)")
-    p.add_argument("--output", choices=("json", "csv"), default="json", help="artifact format")
-    p.add_argument("--out", default=None, help="write to this path instead of stdout")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="packetlab",
@@ -90,22 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", type=float, required=True, help="squeezing (>= 0)")
     p.add_argument("--ell", type=float, required=True, help="mean angular momentum (must be integer)")
     p.add_argument("--center", type=float, default=0.0, help="packet center angle (radians)")
-    _add_common(p)
 
     p = sub.add_parser("moments", help="moment report of a state read from JSON")
     p.add_argument("--state", required=True, help="state JSON path, or - for stdin")
-    _add_common(p)
 
     p = sub.add_parser("relations", help="uncertainty-relation margins of a state")
     p.add_argument("--state", required=True, help="state JSON path, or - for stdin")
     p.add_argument("--f-table", default=None, help="CSV f-table enabling the modified-relation margin")
-    _add_common(p)
 
     p = sub.add_parser("pencil", help="solve the squeezed-state pencil at one expectation value")
     p.add_argument("--family", choices=("circle", "oscillator"), required=True)
     p.add_argument("--alpha", type=float, required=True, help="target <A>")
     p.add_argument("--beta", type=float, default=0.0, help="target <B> (default 0)")
-    _add_common(p)
 
     p = sub.add_parser("scan", help="quantization scan over a grid of expectation values")
     p.add_argument("--family", choices=("circle", "oscillator"), required=True)
@@ -113,12 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=float, required=True)
     p.add_argument("--alpha-step", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
-    _add_common(p)
 
     p = sub.add_parser("floor", help="minimum Delta A at fixed <A> = alpha")
     p.add_argument("--family", choices=("circle", "oscillator"), default="circle")
     p.add_argument("--alpha", type=float, required=True)
-    _add_common(p)
 
     p = sub.add_parser("phase-min", help="minimize Delta L over phases at fixed modulus")
     p.add_argument("--winding", type=float, required=True, help="integer or half-integer")
@@ -129,15 +115,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kappa", type=float, default=2.0, help="von Mises concentration")
     p.add_argument("--modulus-file", default=None, help="JSON array of modulus samples (overrides --modulus)")
-    _add_common(p)
+    p.add_argument("--grid", "-G", type=int, default=512, help="angular grid size (default 512)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random modulus")
 
     p = sub.add_parser("f-scan", help="tabulate f(Delta phi_p) for the modified relation")
     p.add_argument("--targets", default=None, help="comma-separated Delta phi_p targets")
     p.add_argument("--t-min", type=float, default=0.1 * PHI_P_MAX)
     p.add_argument("--t-max", type=float, default=0.95 * PHI_P_MAX)
     p.add_argument("--t-count", type=int, default=10)
-    _add_common(p)
 
+    # every subcommand writes an artifact; only these build their own window
+    for name, p in sub.choices.items():
+        if name in ("css", "pencil", "scan", "floor"):
+            p.add_argument("--truncation", "-M", type=int, default=64, help="mode cutoff M (default 64)")
+        p.add_argument("--output", choices=("json", "csv"), default="json", help="artifact format")
+        p.add_argument("--out", default=None, help="write to this path instead of stdout")
     return parser
 
 

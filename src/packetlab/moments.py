@@ -15,10 +15,12 @@ evaluated through the exact Fourier series of phi^2 on (-pi, pi],
 
     V(gamma) = pi^2/3 + 4 sum_{k>=1} (-1)^k Re(b_k e^{i k gamma}) / k^2,
 
-which is a finite sum because the density is band-limited.  The minimum is
-located by a 256-point coarse scan refined by golden section; the coarse scan
-guards against multimodal densities and ties break toward the smallest
-|gamma|.
+which is a finite sum because the density is band-limited.  Its values on
+a 256-point grid come from one FFT and guard against multimodal densities;
+each grid cell that may hold the global minimum is refined by Newton steps
+on the exact V' and V'' = 2 - 4 pi rho(gamma + pi), safeguarded by
+bisection, so gamma_star is resolved to roundoff.  Ties break toward the
+smallest |gamma|.
 
 The combined angular spread uses both coordinates:
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -45,10 +47,8 @@ PHI_P_MAX = math.pi / math.sqrt(3.0)
 # Default tolerance when comparing a relation's two sides.
 MARGIN_TOL = 1e-12
 
-# The gamma minimization: coarse scan points over (-pi, pi] and the width at
-# which golden-section refinement stops.
+# The gamma minimization: coarse scan points over (-pi, pi].
 GAMMA_SCAN_POINTS = 256
-GAMMA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,62 +107,58 @@ def _clamp_variance(v: float) -> float:
     return max(v, 0.0)
 
 
-def _second_moment_objective(bk: np.ndarray):
-    """V(gamma) for the shifted second moment, as a vectorized callable."""
-    ks = np.arange(1, bk.size)
-    wk = 4.0 * (-1.0) ** ks / ks.astype(float) ** 2
-    coef = wk * bk[1:]
-
-    def V(gamma):
-        g = np.atleast_1d(np.asarray(gamma, dtype=float))
-        phases = np.exp(1j * np.outer(g, ks))
-        out = math.pi**2 / 3.0 + (phases @ coef).real
-        return out if out.size > 1 else float(out[0])
-
-    return V
-
-
 def minimized_second_moment(bk: np.ndarray) -> tuple[float, float]:
     """Global minimum of V(gamma) over gamma in (-pi, pi].
 
     Returns (V_min, gamma_star).  Flat objectives (eigenstates) return
     gamma_star = 0 by the smallest-|gamma| tie-break.
     """
-    V = _second_moment_objective(bk)
+    ks = np.arange(1, bk.size)
+    coef = 4.0 * (-1.0) ** ks / ks.astype(float) ** 2 * bk[1:]
     n = GAMMA_SCAN_POINTS
     grid = -math.pi + 2.0 * math.pi * (np.arange(n) + 1.0) / n
-    vals = V(grid)
+    # e^{ik grid_j} = (-1)^k e^{2 pi i k (j+1)/n}: fold the sign-flipped
+    # coefficients mod n and sum them at every grid point by one FFT
+    folded = np.zeros(-(-bk.size // n) * n, dtype=complex)
+    folded[1 : bk.size] = coef * (-1.0) ** ks
+    sums = n * np.fft.ifft(folded.reshape(-1, n).sum(axis=0))
+    vals = math.pi**2 / 3.0 + np.roll(sums.real, -1)
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     if vmax - vmin <= 1e-13 * max(1.0, abs(vmax)):
-        return float(V(0.0)), 0.0
+        return math.pi**2 / 3.0 + float(np.sum(coef).real), 0.0
 
-    # Refine every coarse basin that is plausibly the global one.
+    # Newton on V' in every coarse cell that plausibly holds the global
+    # minimum, bisecting where V'' <= 0 or a step would leave the cell; the
+    # cap lets bisection alone shrink the cell to the spacing of doubles.
+    kc = ks * coef
+    kkc = ks * kc
     step = 2.0 * math.pi / n
+    ulp = math.ulp(math.pi)  # spacing of doubles at the largest |gamma|
     candidates = np.where(vals <= vmin + 1e-9 * max(1.0, abs(vmin)))[0]
     best = (math.inf, 0.0)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     for idx in candidates:
-        a = grid[idx] - step
-        b = grid[idx] + step
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = V(c), V(d)
-        while b - a > GAMMA_TOL:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = V(c)
+        g = float(grid[idx])
+        lo, hi = g - step, g + step
+        for _ in range(64):
+            e = np.exp(1j * ks * g)
+            d1 = -float((kc @ e).imag)
+            d2 = -float((kkc @ e).real)
+            if d1 > 0.0:
+                hi = g
             else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = V(d)
-        g = 0.5 * (a + b)
+                lo = g
+            dg = d1 / d2 if d2 > 0.0 else math.inf
+            if abs(dg) > ulp and not lo < g - dg < hi:
+                dg = g - 0.5 * (lo + hi)
+            g -= dg
+            if abs(dg) <= ulp:
+                break
         # map back into (-pi, pi]
         if g <= -math.pi:
             g += 2.0 * math.pi
         elif g > math.pi:
             g -= 2.0 * math.pi
-        v = V(g)
+        v = math.pi**2 / 3.0 + float((coef @ np.exp(1j * ks * g)).real)
         if v < best[0] - 1e-12 or (abs(v - best[0]) <= 1e-12 and abs(g) < abs(best[1])):
             best = (v, g)
     return best
@@ -175,7 +171,11 @@ def delta_phi_p(state: AngularState) -> tuple[float, float]:
     -------
     (delta_phi_p, gamma_star)
         ``delta_phi_p`` lies in [0, pi/sqrt(3)]; the flat maximum pi/sqrt(3)
-        is attained by any angular-momentum eigenstate.
+        is attained by any angular-momentum eigenstate.  ``gamma_star`` is
+        located on an FFT-evaluated 256-point grid and refined by safeguarded
+        Newton steps on V'(gamma); V''(gamma) = 2 - 4 pi rho(gamma + pi) is
+        near 2 at a localized packet's minimum, so gamma_star is resolved to
+        roundoff.
     """
     _require_symmetric(state)
     vmin, gamma = minimized_second_moment(circular_coefficients(state))
@@ -269,19 +269,15 @@ def relation_margins(state: AngularState, f_table=None) -> list[RelationMargin]:
 
 # -- emission ---------------------------------------------------------------
 
-CSV_HEADER = "meanL,varL,meanCos,varCos,meanSin,varSin,deltaPhiP,gammaStar,deltaPhiCombined"
-
-_CSV_FIELDS = (
-    "mean_l", "var_l", "mean_cos", "var_cos", "mean_sin", "var_sin",
-    "delta_phi_p", "gamma_star", "delta_phi_combined",
-)
-
-_JSON_KEYS = {
+# MomentReport field -> artifact name, in artifact order.
+_ARTIFACT_NAMES = {
     "mean_l": "meanL", "var_l": "varL", "mean_cos": "meanCos",
     "var_cos": "varCos", "mean_sin": "meanSin", "var_sin": "varSin",
     "delta_phi_p": "deltaPhiP", "gamma_star": "gammaStar",
     "delta_phi_combined": "deltaPhiCombined", "tail_mass": "tailMass",
 }
+_CSV_FIELDS = tuple(f for f in _ARTIFACT_NAMES if f != "tail_mass")
+CSV_HEADER = ",".join(_ARTIFACT_NAMES[f] for f in _CSV_FIELDS)
 
 
 def report_to_csv_row(rep: MomentReport) -> str:
@@ -289,7 +285,7 @@ def report_to_csv_row(rep: MomentReport) -> str:
 
 
 def report_to_dict(rep: MomentReport) -> dict:
-    return {_JSON_KEYS[k]: v for k, v in asdict(rep).items()}
+    return {name: getattr(rep, f) for f, name in _ARTIFACT_NAMES.items()}
 
 
 def report_to_json(rep: MomentReport) -> str:

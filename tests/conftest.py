@@ -5,7 +5,8 @@ Matrix elements and moments are checked against Gauss-Legendre quadrature on
 discontinuous angle phi_p, which Gauss nodes never place at the seam), so a
 4096-point rule is exact to machine precision for every bandwidth used here.
 The number/phase squeezed states are checked against their closed-form
-Bessel branches, found by root bracketing without any pencil, the banded
+Bessel branches, found by root bracketing without any pencil, the Newton
+gamma minimization against a derivative-free golden-section search, the banded
 pencil kernels against dense LAPACK (SVD and complex QZ), the two-level
 uncertainty floor against a linear program over the probability simplex, and
 the ground-state f table against the same ground states reported through
@@ -24,6 +25,7 @@ from scipy.optimize import brentq, linprog, minimize
 from scipy.special import iv
 
 import packetlab as pl
+from packetlab.moments import GAMMA_SCAN_POINTS
 from packetlab.pencil import S_WINDOW
 
 GL_POINTS = 4096
@@ -99,6 +101,57 @@ def oracle_delta_phi_p(gl_rule, state: pl.AngularState, refine: int = 400) -> tu
             fd = V(d)
     g = 0.5 * (a + b)
     return np.sqrt(max(V(g), 0.0)), g
+
+
+def minimized_second_moment_golden(bk: np.ndarray) -> tuple[float, float]:
+    """Global minimum of V(gamma) = pi^2/3 + Re sum_k c_k e^{ik gamma} over
+    (-pi, pi] without derivatives: the same coarse scan (by direct sums), candidate
+    rule and smallest-|gamma| tie-break as the library, each candidate cell
+    refined by golden section to a width of 1e-10 (so gamma_star is resolved
+    only to ~sqrt(eps))."""
+    ks = np.arange(1, bk.size)
+    coef = 4.0 * (-1.0) ** ks / ks.astype(float) ** 2 * bk[1:]
+
+    def V(gamma):
+        g = np.atleast_1d(np.asarray(gamma, dtype=float))
+        out = math.pi**2 / 3.0 + (np.exp(1j * np.outer(g, ks)) @ coef).real
+        return out if out.size > 1 else float(out[0])
+
+    n = GAMMA_SCAN_POINTS
+    grid = -math.pi + 2.0 * math.pi * (np.arange(n) + 1.0) / n
+    vals = V(grid)
+    vmin, vmax = float(np.min(vals)), float(np.max(vals))
+    if vmax - vmin <= 1e-13 * max(1.0, abs(vmax)):
+        return float(V(0.0)), 0.0
+
+    step = 2.0 * math.pi / n
+    candidates = np.where(vals <= vmin + 1e-9 * max(1.0, abs(vmin)))[0]
+    best = (math.inf, 0.0)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for idx in candidates:
+        a = grid[idx] - step
+        b = grid[idx] + step
+        c = b - inv_phi * (b - a)
+        d = a + inv_phi * (b - a)
+        fc, fd = V(c), V(d)
+        while b - a > 1e-10:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                fc = V(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                fd = V(d)
+        g = 0.5 * (a + b)
+        if g <= -math.pi:
+            g += 2.0 * math.pi
+        elif g > math.pi:
+            g -= 2.0 * math.pi
+        v = V(g)
+        if v < best[0] - 1e-12 or (abs(v - best[0]) <= 1e-12 and abs(g) < abs(best[1])):
+            best = (v, g)
+    return best
 
 
 def align_phase(v: np.ndarray, ref: np.ndarray) -> np.ndarray:

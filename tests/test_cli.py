@@ -111,7 +111,7 @@ def test_phase_min_command(capsys):
 
 def test_f_scan_command(capsys):
     code, out, _ = run(
-        capsys, "f-scan", "--targets", "0.5,1.0", "--grid", "256", "--output", "csv"
+        capsys, "f-scan", "--targets", "0.5,1.0", "--output", "csv"
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -183,6 +183,22 @@ def test_bad_pencil_inputs_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["f-scan", "--targets", "0.5", "-M", "256"],
+        ["moments", "--state", "state.json", "-G", "64"],
+        ["css", "--S", "1", "--ell", "0", "--seed", "3"],
+    ],
+    ids=["f-scan-truncation", "moments-grid", "css-seed"],
+)
+def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # Numeric arguments drawn from zero, negative, non-finite, huge and normal
 # values; truncations stay small so that every valid draw runs in milliseconds.
 NUMBER = st.sampled_from(["0", "-1.5", "nan", "inf", "-inf", "1e300", "0.5", "2"])
@@ -211,9 +227,9 @@ def fuzz_argv(draw):
         argv += ["--modulus", draw(st.sampled_from(["uniform", "vonmises", "random", "half-cosine"]))]
     if command == "f-scan":
         argv += ["--t-count", draw(COUNT)]
-    if command in ("phase-min", "f-scan"):
+    if command == "phase-min":
         argv += ["--grid", "64"]
-    else:
+    elif command != "f-scan":
         argv += ["--truncation", draw(TRUNCATION)]
     return argv + ["--output", draw(st.sampled_from(["json", "csv"]))]
 

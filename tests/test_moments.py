@@ -3,7 +3,8 @@ import pytest
 from scipy.special import ive
 
 import packetlab as pl
-from conftest import oracle_delta_phi_p, oracle_moments
+from conftest import minimized_second_moment_golden, oracle_delta_phi_p, oracle_moments
+from packetlab.moments import circular_coefficients, minimized_second_moment
 
 SYM = pl.ModeWindow.symmetric
 PI_SQRT3 = np.pi / np.sqrt(3)
@@ -73,6 +74,81 @@ def test_delta_phi_p_matches_quadrature_oracle(gl_rule):
         assert gamma == pytest.approx(ref_gamma, abs=1e-6)
 
 
+def two_packets(S, a, weight):
+    """Squeezed packets at +a and -a, the second one weighted."""
+    c = pl.css_state(pl.CssParams(S, 0, a), SYM(64)).coeffs
+    c = c + weight * pl.css_state(pl.CssParams(S, 0, -a), SYM(64)).coeffs
+    return pl.normalize(c, SYM(64))
+
+
+def gamma_test_states():
+    """Haar-random states at M = 4..128, squeezed states with random centres,
+    two-packet superpositions (every other one mirror-symmetric) and, last,
+    five exact ties at gamma* = 0: packets at +-pi/2, whose density repeats
+    after pi so that V(0) = V(pi), and four eigenstates."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for M in (4, 8, 16, 32, 64, 128):
+        out += [pl.random_state(SYM(M), int(rng.integers(2**31))) for _ in range(20)]
+    for M in (32, 64, 128):
+        for _ in range(20):
+            params = pl.CssParams(
+                rng.uniform(0.1, 12.0), int(rng.integers(-4, 5)), rng.uniform(-np.pi, np.pi)
+            )
+            out.append(pl.css_state(params, SYM(M)))
+    for i in range(23):
+        weight = 1.0 if i % 2 == 0 else rng.uniform(0.3, 1.5)
+        out.append(two_packets(rng.uniform(1.0, 10.0), rng.uniform(0.2, np.pi), weight))
+    out.append(two_packets(rng.uniform(1.0, 10.0), np.pi / 2, 1.0))
+    out += [pure_mode(SYM(16), m) for m in (-3, 0, 2, 7)]
+    return out
+
+
+def angle_gap(a: float, b: float) -> float:
+    return abs((a - b + np.pi) % (2 * np.pi) - np.pi)
+
+
+def test_gamma_newton_matches_golden_section_oracle():
+    states = gamma_test_states()
+    assert len(states) >= 200
+    for state in states:
+        bk = circular_coefficients(state)
+        v, gamma = minimized_second_moment(bk)
+        v_ref, gamma_ref = minimized_second_moment_golden(bk)
+        assert abs(v - v_ref) <= 1e-12 * max(1.0, v_ref)
+        assert angle_gap(gamma, gamma_ref) <= 1e-7
+    for state in states[-5:]:
+        assert minimized_second_moment(circular_coefficients(state))[1] == 0.0
+
+
+def test_gamma_star_matches_extended_precision_newton():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(77)
+    states = [pl.random_state(SYM(M), s) for s, M in enumerate((4, 8, 16, 24, 32, 48, 64) * 2)]
+    states += [
+        pl.css_state(
+            pl.CssParams(rng.uniform(0.2, 10.0), int(rng.integers(-3, 4)), rng.uniform(-np.pi, np.pi)),
+            SYM(M),
+        )
+        for M in (32, 48, 64) * 2
+    ]
+    for state in states:
+        bk = circular_coefficients(state)
+        _, gamma = minimized_second_moment(bk)
+        ks = range(1, bk.size)
+        # the double coefficients, taken exactly
+        c = [4 * (-1) ** k * mpmath.mpc(complex(bk[k])) / k**2 for k in ks]
+        g = mpmath.mpf(gamma)
+        for _ in range(6):
+            e = [mpmath.expj(k * g) for k in ks]
+            d1 = -mpmath.im(mpmath.fsum(k * ck * ek for k, ck, ek in zip(ks, c, e)))
+            d2 = -mpmath.re(mpmath.fsum(k * k * ck * ek for k, ck, ek in zip(ks, c, e)))
+            g -= d1 / d2
+        assert d2 > 0
+        assert abs(float(g - gamma)) <= 1e-13
+
+
 def test_delta_phi_p_narrow_packet():
     dpp, gamma = pl.delta_phi_p(pl.css_state(pl.CssParams(50.0, 0), SYM(256)))
     assert dpp < 0.12
@@ -86,21 +162,21 @@ def test_delta_phi_p_shift_covariance():
     shifted = pl.normalize(base.coeffs * np.exp(1j * base.window.modes * gamma0), base.window)
     dpp1, gstar = pl.delta_phi_p(shifted)
     assert dpp1 == pytest.approx(dpp0, abs=1e-9)
-    assert gstar == pytest.approx(-gamma0, abs=1e-6)
+    assert gstar == pytest.approx(-gamma0, abs=1e-12)
 
 
 def test_delta_phi_p_rotation_and_phase_invariance():
     s = pl.random_state(SYM(16), 3)
-    dpp0, _ = pl.delta_phi_p(s)
+    dpp0, gamma0 = pl.delta_phi_p(s)
     rot = s.rotated(0.9)
-    dpp1, _ = pl.delta_phi_p(rot)
+    dpp1, gamma1 = pl.delta_phi_p(rot)
     assert dpp1 == pytest.approx(dpp0, abs=1e-9)
-    # a global phase changes nothing (gamma_star only to the flatness of V)
+    assert angle_gap(gamma1, gamma0 + 0.9) <= 1e-12
+    # a global phase changes nothing
     rep0 = pl.moments(s)
     rep1 = pl.moments(pl.AngularState(s.window, s.coeffs * np.exp(0.3j)))
     for field in rep0.__dataclass_fields__:
-        tol = 1e-6 if field == "gamma_star" else 1e-13
-        assert getattr(rep1, field) == pytest.approx(getattr(rep0, field), abs=tol)
+        assert getattr(rep1, field) == pytest.approx(getattr(rep0, field), abs=1e-13)
 
 
 def test_delta_phi_p_range_bound():

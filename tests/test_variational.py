@@ -160,8 +160,7 @@ def test_ground_state_needs_no_gamma_search():
         dp, gamma = pl.delta_phi_p(pl.normalize(c, window))
         direct = np.sqrt(c @ P2 @ c)
         assert abs(dp - direct) <= 1e-13 * direct, mu
-        # the golden section resolves gamma* only to ~1e-8
-        assert abs(gamma) <= 1e-6, mu
+        assert abs(gamma) <= 1e-13, mu
 
 
 def test_f_table_errors():
