@@ -110,8 +110,9 @@ def _clamp_variance(v: float) -> float:
 def minimized_second_moment(bk: np.ndarray) -> tuple[float, float]:
     """Global minimum of V(gamma) over gamma in (-pi, pi].
 
-    Returns (V_min, gamma_star).  Flat objectives (eigenstates) return
-    gamma_star = 0 by the smallest-|gamma| tie-break.
+    Returns (V_min, gamma_star).  Ties in V_min go to the smallest |gamma|,
+    so flat objectives (eigenstates) return gamma_star = 0, and mirrored
+    minima +-gamma0 (an even density) return +gamma0.
     """
     ks = np.arange(1, bk.size)
     coef = 4.0 * (-1.0) ** ks / ks.astype(float) ** 2 * bk[1:]
@@ -153,14 +154,26 @@ def minimized_second_moment(bk: np.ndarray) -> tuple[float, float]:
             g -= dg
             if abs(dg) <= ulp:
                 break
-        # map back into (-pi, pi]
-        if g <= -math.pi:
+        # map back into (-pi, pi]; a minimum within a few ulps of the seam
+        # is the one at pi, whatever side of it Newton stopped on
+        if abs(abs(g) - math.pi) <= 4.0 * ulp:
+            g = math.pi
+        elif g <= -math.pi:
             g += 2.0 * math.pi
         elif g > math.pi:
             g -= 2.0 * math.pi
         v = math.pi**2 / 3.0 + float((coef @ np.exp(1j * ks * g)).real)
-        if v < best[0] - 1e-12 or (abs(v - best[0]) <= 1e-12 and abs(g) < abs(best[1])):
+        if v < best[0] - 1e-12:
             best = (v, g)
+        elif abs(v - best[0]) <= 1e-12:
+            # the smaller |gamma| wins a tie in V; the mirrored minima
+            # +-gamma0 of an even density also tie in |gamma| to a few ulps,
+            # and there the positive one wins, so roundoff cannot pick the sign
+            if abs(abs(g) - abs(best[1])) <= 4.0 * ulp:
+                if g > best[1]:
+                    best = (v, g)
+            elif abs(g) < abs(best[1]):
+                best = (v, g)
     return best
 
 

@@ -22,7 +22,11 @@ stencils), and the solver works on that structure alone:
   T(lambda) = (A - alpha) - lambda (B - beta), found by inverse iteration on
   (T^H T)^{-1} with one LU factorization of T per shift (LAPACK ?gttrf, then
   ?gttrs with T^H and with T).  The residual is ||T v||, computed as a banded
-  matrix-vector product.
+  matrix-vector product.  All shifts of one pencil iterate together: their
+  tridiagonals are stacked into one block-diagonal tridiagonal with zero
+  couplings, so one ?gttrf call factors every shift, two ?gttrs calls per
+  step serve every shift still iterating, and each block gets the same LU,
+  steps and result as a separate iteration would.
 * The imaginary-axis sweep.  For a grid of S values the same kernel extracts
   the smallest singular pair (sigma, v) of T(iS) and certifies (iS, v) as an
   eigenpair whenever that residual is at working precision,
@@ -41,7 +45,11 @@ different ones), so on such a segment only the sweep's certificates are
 reproducible.  Away from the spectrum of A the smallest singular value stays
 orders of magnitude above the tolerance, so the sweep certifies nothing;
 that asymmetry is the quantization of the mean value demonstrated by
-:func:`quantization_scan`.
+:func:`quantization_scan`.  On the circle QZ decides nothing: QZ
+candidates appear only where the sweep already certifies points on the
+axis, so a circle scan point runs the sweep alone, and only
+:func:`solve_pencil` (and the ``pencil`` command) runs QZ for both
+families.
 
 The bounded-below number/phase family differs.  Its exact squeezed states are
 isolated Bessel packets c_m ~ I_{m-alpha}(S) at the roots of I_{-1-alpha}(S),
@@ -98,6 +106,8 @@ _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 # ||(A - alpha)v|| + |lambda| ||(B - beta)v||.
 _REFINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 _MAX_STEPS = 30
+# Shifts per batched inverse iteration; bounds its memory to O(_BATCH * d).
+_BATCH = 256
 _START_SEED = 12345
 
 Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (sub, main, super) diagonals
@@ -231,58 +241,153 @@ class SingularPair(NamedTuple):
 
 
 def _tri_matvec(bands: Bands, v: np.ndarray) -> np.ndarray:
+    """T v for the tridiagonal bands; 2-D bands or v hold one block per row."""
     sub, main, sup = bands
     y = main * v
-    y[:-1] += sup * v[1:]
-    y[1:] += sub * v[:-1]
+    y[..., :-1] += sup * v[..., 1:]
+    y[..., 1:] += sub * v[..., :-1]
     return y
 
 
-def _unit(y: np.ndarray) -> np.ndarray | None:
-    """y / ||y||, scaled by its largest entry first so no square overflows;
-    None when y is zero or not finite."""
-    peak = float(np.max(np.abs(y)))
-    if not np.isfinite(peak) or peak == 0.0:
-        return None
-    y = y / peak
-    return y / np.linalg.norm(y)
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of x, as np.linalg.norm computes it for one
+    vector (a dot product each of the real and the imaginary part), so that
+    a block's result does not depend on the batch it is in."""
+    re, im = x.real[:, None, :], x.imag[:, None, :]
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
 
 
-def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> SingularPair:
-    """Inverse iteration v <- (T^H T)^{-1} v on the tridiagonal T from unit v.
+def _unit_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of y scaled to unit norm, by its largest entry first so no
+    square overflows, in place; ``ok`` is False for a row that is zero or not
+    finite, which is left as it is."""
+    peak = np.max(np.abs(y), axis=1)
+    ok = np.isfinite(peak) & (peak > 0.0)
+    if ok.all():
+        y /= peak[:, None]
+        y /= _norms(y)[:, None]
+    else:
+        u = y[ok] / peak[ok, None]
+        y[ok] = u / _norms(u)[:, None]
+    return y, ok
 
-    T is factored once (partial-pivoting LU, ?gttrf) and each step solves
-    T^H z = v and then T y = z with that factor (?gttrs); z is rescaled
-    between the two solves, so a T singular to working precision cannot
-    overflow.  An exactly singular factor, or a solve that overflows anyway,
-    shifts the diagonal by roundoff and refactors: an LU nudge, which uses up
-    a step.  The iteration has converged when sigma = ||T v|| changes by at
-    most 1e-6 relative after the fourth step or, given ``local`` (a function
-    of v bounding the size of the terms of T v), when sigma is at roundoff of
-    local(v).
+
+def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> list[np.ndarray]:
+    """Partial-pivoting LU (?gttrf) of a stack of tridiagonal blocks, one per
+    row of the (k, d-1), (k, d), (k, d-1) bands.
+
+    The blocks are factored as one block-diagonal tridiagonal with zero
+    couplings.  Where a coupling is zero ?gttrf neither pivots across it nor
+    carries a nonzero multiplier over it, so each block gets the LU a
+    separate call would give it.  The factor comes back per block, as rows
+    of (dl, d, du, du2, pivot offset), each padded to length d with the
+    zeros that couple it to the next block.
+    """
+    k, d = main.shape
+    n = k * d
+    dl, dd, du, du2 = (np.zeros((k, d), dtype=complex) for _ in range(4))
+    dl[:, :-1], dd[:], du[:, :-1] = sub, main, sup
+    # ?gttrf factors dl, dd and du in place
+    *_, fill, piv, _ = zgttrf(dl.ravel()[:-1], dd.ravel(), du.ravel()[:-1],
+                              overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    du2.ravel()[: n - 2] = fill
+    piv = (piv - np.arange(1, n + 1, dtype=piv.dtype)).reshape(k, d)  # relative to the row
+    return [dl, dd, du, du2, piv]
+
+
+def _solve(lu: list[np.ndarray], rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y = (T^H T)^{-1} v for the blocks ``rows`` of the factors ``lu``
+    (:func:`_factor`), one start vector per row of v.
+
+    The blocks are solved as one system (?gttrs with T^H, then with T), and
+    each row is scaled to unit norm after each solve, so a T singular to
+    working precision cannot overflow.  Returns (y, ok); ``ok`` is False for
+    a block whose solve overflowed or vanished.  A zero coupling times an
+    overflowed entry is NaN, so one such block spoils the others: the step
+    is then taken again block by block.
+    """
+    if rows.size == 0:
+        return v, np.ones(0, dtype=bool)
+    # rows are sorted and distinct, so as many rows as blocks is all of them
+    dl, dd, du, du2, piv = lu if rows.size == lu[1].shape[0] else (x[rows] for x in lu)
+    k, d = dd.shape
+    n = k * d
+    f = (dl.ravel()[:-1], dd.ravel(), du.ravel()[:-1], du2.ravel()[: n - 2],
+         piv.ravel() + np.arange(1, n + 1, dtype=piv.dtype))
+    y = v
+    for trans in ("C", "N"):
+        # v is kept for the block-by-block retry; z is overwritten
+        y = zgttrs(*f, y.ravel(), trans=trans, overwrite_b=y is not v)[0]
+        y, ok = _unit_rows(y.reshape(k, d))
+        if not ok.all():
+            break
+    if ok.all() or k == 1:
+        return y, ok
+    for j in range(k):
+        yj, okj = _solve(lu, rows[j : j + 1], v[j : j + 1])
+        y[j], ok[j] = yj[0], okj[0]
+    return y, ok
+
+
+def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair]:
+    """Inverse iteration v <- (T^H T)^{-1} v from unit v on a stack of
+    tridiagonals, one per row of the (k, d-1), (k, d), (k, d-1) bands T.
+
+    Every block is factored once (:func:`_factor`), and each step solves
+    T^H z = v and then T y = z for all blocks still iterating at once
+    (:func:`_solve`).  A block whose LU is exactly singular (a zero on its
+    own U diagonal), or whose solve overflows anyway, has its diagonal
+    shifted by roundoff and is refactored: an LU nudge, which uses up a step
+    of that block alone.  A block has converged when sigma = ||T v|| changes
+    by at most 1e-6 relative after the fourth step or, given ``local`` (a
+    function of block indices and their vectors bounding the size of the
+    terms of T v), when sigma is at roundoff of local.  Each step iterates
+    only the blocks that have not converged.
     """
     sub, main, sup = T
-    lu = None
-    nudges = 0
-    sigma = math.inf
+    k, d = main.shape
+    shifted = main.copy()  # the diagonal the LU is taken of, nudged where singular
+    lu = _factor(sub, shifted, sup)
+    singular = np.any(lu[1] == 0.0, axis=1)
+    stale = np.zeros(k, dtype=bool)  # nudged, to be refactored
+    V = np.tile(v, (k, 1))
+    sigma = np.full(k, math.inf)
+    steps = np.full(k, _MAX_STEPS)
+    nudges = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
     for it in range(_MAX_STEPS):
-        if lu is None:
-            *lu, info = zgttrf(sub, main, sup)
-        z = _unit(zgttrs(*lu, v, trans="C")[0]) if info == 0 else None
-        y = _unit(zgttrs(*lu, z)[0]) if z is not None else None
-        if y is None:  # singular or overflowing LU: nudge the diagonal by roundoff
-            main = main + (1e-300 + 1e-16 * np.max(np.abs(main)))
-            lu = None
-            nudges += 1
-            continue
-        v = y
-        new = float(np.linalg.norm(_tri_matvec(T, v)))
-        if (it > 2 and abs(new - sigma) <= 1e-6 * max(new, 1e-300)) or (
-            local is not None and new <= _REFINE_ROUNDOFF * local(v)
-        ):
-            return SingularPair(new, v, it + 1, nudges, True)
-        sigma = new
-    return SingularPair(float(np.linalg.norm(_tri_matvec(T, v))), v, _MAX_STEPS, nudges, False)
+        live = np.flatnonzero(~converged)
+        if live.size == 0:
+            break
+        if stale.any():  # refactor the nudged blocks
+            redo = np.flatnonzero(stale)
+            for x, new in zip(lu, _factor(sub[redo], shifted[redo], sup[redo])):
+                x[redo] = new
+            singular[redo] = np.any(lu[1][redo] == 0.0, axis=1)
+            stale[redo] = False
+        rows = live[~singular[live]]
+        y, ok = _solve(lu, rows, V[rows])
+        bad = np.concatenate([live[singular[live]], rows[~ok]])
+        if bad.size:  # singular or overflowing LU: nudge the diagonal by roundoff
+            m = shifted[bad]
+            shifted[bad] = m + (1e-300 + 1e-16 * np.max(np.abs(m), axis=1))[:, None]
+            nudges[bad] += 1
+            stale[bad] = True
+        good = rows[ok]
+        V[good] = y[ok]
+        new = _norms(_tri_matvec((sub[good], main[good], sup[good]), V[good]))
+        done = (it > 2) & (np.abs(new - sigma[good]) <= 1e-6 * np.maximum(new, 1e-300))
+        if local is not None:
+            done |= new <= _REFINE_ROUNDOFF * local(good, V[good])
+        sigma[good] = new
+        steps[good[done]] = it + 1
+        converged[good[done]] = True
+    live = np.flatnonzero(~converged)
+    sigma[live] = _norms(_tri_matvec((sub[live], main[live], sup[live]), V[live]))
+    return [
+        SingularPair(float(sigma[j]), V[j], int(steps[j]), int(nudges[j]), bool(converged[j]))
+        for j in range(k)
+    ]
 
 
 def _start_vector(d: int) -> np.ndarray:
@@ -300,23 +405,27 @@ def smallest_singular_pair(T: Bands) -> SingularPair:
     ||T v|| = sigma exactly, so sigma is a certified eigenpair residual;
     ``converged`` is False when the step cap ran out first.
     """
-    return _inverse_iteration(T, _start_vector(T[1].size))
+    sub, main, sup = (np.atleast_2d(np.asarray(x, dtype=complex)) for x in T)
+    return _inverse_iteration((sub, main, sup), _start_vector(main.shape[1]))[0]
 
 
-def _pencil_bands(a: np.ndarray, b: Bands, lam: complex) -> Bands:
-    """Bands of T(lambda) = (A - alpha) - lambda (B - beta)."""
-    return -lam * b[0], a - lam * b[1], -lam * b[2]
+def _local_scale(a: np.ndarray, b: Bands, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||(A - alpha)v|| + |lambda| ||(B - beta)v||, per row of v."""
+    return _norms(a * v) + np.abs(lam) * _norms(_tri_matvec(b, v))
 
 
-def _local_scale(a: np.ndarray, b: Bands, lam: complex, v: np.ndarray) -> float:
-    """||(A - alpha)v|| + |lambda| ||(B - beta)v||."""
-    return float(np.linalg.norm(a * v) + abs(lam) * np.linalg.norm(_tri_matvec(b, v)))
-
-
-def _pencil_pair(a: np.ndarray, b: Bands, lam: complex, v: np.ndarray) -> SingularPair:
-    """Smallest singular pair of T(lambda) by inverse iteration from unit v,
-    stopping as soon as the residual reaches roundoff of the local scale."""
-    return _inverse_iteration(_pencil_bands(a, b, lam), v, lambda u: _local_scale(a, b, lam, u))
+def _pencil_pairs(a: np.ndarray, b: Bands, lams: np.ndarray, v: np.ndarray) -> list[SingularPair]:
+    """Smallest singular pair of T(lambda) = (A - alpha) - lambda (B - beta)
+    for every lambda in ``lams``, by batched inverse iteration from unit v
+    (_BATCH shifts at a time) that stops each lambda as soon as its residual
+    reaches roundoff of the local scale."""
+    pairs = []
+    for i in range(0, len(lams), _BATCH):
+        chunk = np.asarray(lams[i : i + _BATCH], dtype=complex)
+        lam = chunk[:, None]
+        T = (-lam * b[0], a - lam * b[1], -lam * b[2])
+        pairs += _inverse_iteration(T, v, lambda rows, V: _local_scale(a, b, chunk[rows], V))
+    return pairs
 
 
 def _eigenvalues(problem: PencilProblem, a: np.ndarray, b: Bands) -> np.ndarray:
@@ -352,8 +461,64 @@ def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, floa
     eigenvalue and the vector is its eigenvector.
     """
     a, b = problem.bands()
-    pair = _pencil_pair(a, b, 1j * s, _start_vector(a.size))
+    pair = _pencil_pairs(a, b, np.array([1j * s]), _start_vector(a.size))[0]
     return AngularState(problem.window, pair.vector), pair.sigma
+
+
+Pairs = tuple[np.ndarray, list]  # eigenvalues and their SingularPairs
+_NO_PAIRS: Pairs = (np.array([], dtype=complex), [])
+
+
+def _qz_pairs(problem: PencilProblem, a: np.ndarray, b: Bands) -> Pairs:
+    """Every finite eigenvalue by real QZ, each with its inverse-iteration pair."""
+    w = _eigenvalues(problem, a, b)
+    return w, _pencil_pairs(a, b, w, _start_vector(a.size))
+
+
+def _sweep_pairs(problem: PencilProblem, a: np.ndarray, b: Bands) -> Pairs:
+    """The imaginary-axis sweep: (iS, v) for each of SWEEP_POINTS values S
+    across S_WINDOW whose smallest singular pair (sigma, v) of T(iS) satisfies
+    sigma <= SWEEP_RTOL * (||(A-alpha)v|| + S ||(B-beta)v||)."""
+    s = np.linspace(S_WINDOW[0], S_WINDOW[1], SWEEP_POINTS)
+    pairs = _pencil_pairs(a, b, 1j * s, _start_vector(a.size))
+    sigma = np.array([p.sigma for p in pairs])
+    # The global scale bounds the local one, so it screens out points that
+    # cannot certify before the local norm is computed.
+    near = np.flatnonzero(sigma <= SWEEP_RTOL * (np.max(np.abs(a)) + s * problem.b_norm()))
+    V = np.array([pairs[j].vector for j in near], dtype=complex).reshape(near.size, a.size)
+    local = _local_scale(a, b, 1j * s[near], V)
+    certified = near[sigma[near] <= SWEEP_RTOL * local]
+    return 1j * s[certified], [pairs[j] for j in certified]
+
+
+def _solution(problem: PencilProblem, qz: Pairs, sweep: Pairs) -> PencilSolution:
+    """The QZ and the swept pairs, classified: sorted by |Re lambda|, with
+    their tail masses and the ``candidate`` and ``physical`` flags."""
+    w = np.concatenate([qz[0], sweep[0]])
+    pairs = qz[1] + sweep[1]
+    d = problem.window.dimension
+    V = np.array([p.vector for p in pairs], dtype=complex).reshape(w.size, d).T
+    residuals = np.array([p.sigma for p in pairs], dtype=float)
+    converged = np.array([p.converged for p in pairs], dtype=bool)
+    swept = np.arange(w.size) >= qz[0].size
+    tails = tail_mass(V, problem.window)
+    order = np.argsort(np.abs(w.real), kind="stable")
+    w, V = w[order], V[:, order]
+    residuals, tails, swept, converged = residuals[order], tails[order], swept[order], converged[order]
+
+    candidate = (w.imag >= S_WINDOW[0]) & (w.imag <= S_WINDOW[1]) & (tails < TAIL_TOL)
+    physical = candidate & (np.abs(w.real) <= IMAG_AXIS_RTOL * (1.0 + np.abs(w)))
+    return PencilSolution(
+        problem=problem,
+        eigenvalues=w,
+        vectors=V,
+        residuals=residuals,
+        tail_masses=tails,
+        swept=swept,
+        candidate=candidate,
+        physical=physical,
+        converged=converged,
+    )
 
 
 def solve_pencil(problem: PencilProblem, *, axis_sweep: bool = True) -> PencilSolution:
@@ -385,49 +550,14 @@ def solve_pencil(problem: PencilProblem, *, axis_sweep: bool = True) -> PencilSo
         perturbing beta resolves generic failures.
     """
     a, b = problem.bands()
-    w = _eigenvalues(problem, a, b)
-    v0 = _start_vector(a.size)
-    pairs = [_pencil_pair(a, b, lam, v0) for lam in w]
-    swept = [False] * len(pairs)
+    qz = _qz_pairs(problem, a, b)
+    return _solution(problem, qz, _sweep_pairs(problem, a, b) if axis_sweep else _NO_PAIRS)
 
-    if axis_sweep:
-        norm_a = float(np.max(np.abs(a)))
-        norm_b = problem.b_norm()
-        certified = []
-        for s in np.linspace(S_WINDOW[0], S_WINDOW[1], SWEEP_POINTS):
-            pair = _pencil_pair(a, b, 1j * s, v0)
-            # The global scale bounds the local one, so it screens out points
-            # that cannot certify before the local norm is computed.
-            if pair.sigma > SWEEP_RTOL * (norm_a + s * norm_b):
-                continue
-            if pair.sigma <= SWEEP_RTOL * _local_scale(a, b, 1j * s, pair.vector):
-                certified.append(1j * s)
-                pairs.append(pair)
-        w = np.concatenate([w, np.array(certified, dtype=complex)])
-        swept += [True] * len(certified)
 
-    V = np.column_stack([p.vector for p in pairs])
-    residuals = np.array([p.sigma for p in pairs])
-    converged = np.array([p.converged for p in pairs], dtype=bool)
-    swept = np.array(swept, dtype=bool)
-    tails = tail_mass(V, problem.window)
-    order = np.argsort(np.abs(w.real), kind="stable")
-    w, V = w[order], V[:, order]
-    residuals, tails, swept, converged = residuals[order], tails[order], swept[order], converged[order]
-
-    candidate = (w.imag >= S_WINDOW[0]) & (w.imag <= S_WINDOW[1]) & (tails < TAIL_TOL)
-    physical = candidate & (np.abs(w.real) <= IMAG_AXIS_RTOL * (1.0 + np.abs(w)))
-    return PencilSolution(
-        problem=problem,
-        eigenvalues=w,
-        vectors=V,
-        residuals=residuals,
-        tail_masses=tails,
-        swept=swept,
-        candidate=candidate,
-        physical=physical,
-        converged=converged,
-    )
+def _sweep_solution(problem: PencilProblem) -> PencilSolution:
+    """The sweep's certified pairs alone, classified as in :func:`solve_pencil`."""
+    a, b = problem.bands()
+    return _solution(problem, _NO_PAIRS, _sweep_pairs(problem, a, b))
 
 
 # -- uncertainty floor at fixed expectation ---------------------------------
@@ -473,7 +603,8 @@ def uncertainty_floor(A: OperatorMatrix, alpha: float) -> tuple[float, AngularSt
 class QuantizationScan:
     """Per-alpha summary of the physical-eigenvalue search and the floor.
 
-    ``eigenvalues`` holds every eigenvalue of each point and
+    ``eigenvalues`` holds every eigenvalue each point's solve returned (for
+    a circle point, the certified sweep values only) and
     ``physical_eigenvalues`` the flagged ones; neither is in the CSV rows, and
     only ``eigenvalues`` is in the JSON artifact.
     """
@@ -501,11 +632,17 @@ def quantization_scan(
 ) -> QuantizationScan:
     """Scan expectation values for the existence of physical squeezed states.
 
-    Per alpha the pencil is solved by :func:`solve_pencil` at the module's
-    physicality constants, the minimal |Re lambda| over the solution's
-    ``candidate`` pairs recorded, and the two-level uncertainty floor at
-    <A> = alpha attached.  Points where the solve fails are flagged in
-    ``errors`` instead of aborting the scan.
+    Per alpha the pencil is solved at the module's physicality constants,
+    the minimal |Re lambda| over the solution's ``candidate`` pairs recorded,
+    and the two-level uncertainty floor at <A> = alpha attached.  An
+    oscillator point is solved by :func:`solve_pencil` (QZ plus the sweep:
+    its branches are isolated, well-conditioned QZ eigenvalues).  A circle
+    point runs the imaginary-axis sweep alone, whose certified pairs go
+    through the same classification.  Circle QZ candidates appear only where
+    the sweep already certifies points on the axis (distance 0), so the flags
+    and distances are those of the full solve, while ``eigenvalues`` holds
+    only the certified sweep values.  Points where the solve fails are
+    flagged in ``errors`` instead of aborting the scan.
 
     Scan points are independent; ``max_workers`` > 1 evaluates them in a
     thread pool with output assembled in grid order.
@@ -513,11 +650,13 @@ def quantization_scan(
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_scan(family, alphas, M)
 
+    solve = _sweep_solution if family == "circle" else solve_pencil
+
     def one(alpha: float):
         problem = _family_problem(family, alpha, beta, M)
         floor, _ = uncertainty_floor(problem.A, alpha)
         try:
-            sol = solve_pencil(problem)
+            sol = solve(problem)
         except SingularPencilError as exc:
             none = np.array([], dtype=complex)
             return math.inf, floor, False, none, none, str(exc)

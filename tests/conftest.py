@@ -7,7 +7,9 @@ discontinuous angle phi_p, which Gauss nodes never place at the seam), so a
 The number/phase squeezed states are checked against their closed-form
 Bessel branches, found by root bracketing without any pencil, the Newton
 gamma minimization against a derivative-free golden-section search, the banded
-pencil kernels against dense LAPACK (SVD and complex QZ), the two-level
+pencil kernels against dense LAPACK (SVD and complex QZ), the batched
+inverse iteration against the serial one it replaced, the sweep-only circle
+scan against the full QZ-plus-sweep solve, the two-level
 uncertainty floor against a linear program over the probability simplex, and
 the ground-state f table against the same ground states reported through
 the gamma-searching moment engine, and the f table and the Newton phase
@@ -22,11 +24,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.optimize import brentq, linprog, minimize
+from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.special import iv
 
 import packetlab as pl
 from packetlab.moments import GAMMA_SCAN_POINTS
-from packetlab.pencil import S_WINDOW
+from packetlab.pencil import (
+    _MAX_STEPS,
+    _REFINE_ROUNDOFF,
+    S_WINDOW,
+    QuantizationScan,
+    SingularPair,
+    _family_problem,
+)
 
 GL_POINTS = 4096
 
@@ -200,6 +210,87 @@ def shifted(problem: pl.PencilProblem) -> tuple[np.ndarray, np.ndarray]:
     """Dense A - alpha and B - beta."""
     eye = np.eye(problem.window.dimension)
     return problem.A.entries - problem.alpha * eye, problem.B.entries - problem.beta * eye
+
+
+def serial_inverse_iteration(T, v: np.ndarray, local=None) -> SingularPair:
+    """Inverse iteration v <- (T^H T)^{-1} v on one tridiagonal T from unit v.
+
+    The kernel the batched one replaced, kept as its oracle: T is factored
+    once (?gttrf) and each step solves T^H z = v and then T y = z (?gttrs),
+    rescaling z in between; an exactly singular factor, or a solve that
+    overflows anyway, shifts the diagonal by roundoff and refactors (an LU
+    nudge, which uses up a step).  It stops when sigma = ||T v|| changes by
+    at most 1e-6 relative after the fourth step or, given ``local`` (a
+    function of v), when sigma <= _REFINE_ROUNDOFF * local(v).
+    """
+
+    def unit(y):
+        peak = float(np.max(np.abs(y)))
+        if not np.isfinite(peak) or peak == 0.0:
+            return None
+        y = y / peak
+        return y / np.linalg.norm(y)
+
+    def matvec(v):
+        y = T[1] * v
+        y[:-1] += T[2] * v[1:]
+        y[1:] += T[0] * v[:-1]
+        return y
+
+    sub, main, sup = T
+    lu = None
+    nudges = 0
+    sigma = math.inf
+    for it in range(_MAX_STEPS):
+        if lu is None:
+            *lu, info = zgttrf(sub, main, sup)
+        z = unit(zgttrs(*lu, v, trans="C")[0]) if info == 0 else None
+        y = unit(zgttrs(*lu, z)[0]) if z is not None else None
+        if y is None:
+            main = main + (1e-300 + 1e-16 * np.max(np.abs(main)))
+            lu = None
+            nudges += 1
+            continue
+        v = y
+        new = float(np.linalg.norm(matvec(v)))
+        if (it > 2 and abs(new - sigma) <= 1e-6 * max(new, 1e-300)) or (
+            local is not None and new <= _REFINE_ROUNDOFF * local(v)
+        ):
+            return SingularPair(new, v, it + 1, nudges, True)
+        sigma = new
+    return SingularPair(float(np.linalg.norm(matvec(v))), v, _MAX_STEPS, nudges, False)
+
+
+def serial_pencil_pair(a: np.ndarray, b, lam: complex, v: np.ndarray) -> SingularPair:
+    """:func:`serial_inverse_iteration` on T(lambda) = (A - alpha) - lambda (B - beta),
+    stopped at roundoff of ||(A - alpha)v|| + |lambda| ||(B - beta)v||."""
+    T = (-lam * b[0], a - lam * b[1], -lam * b[2])
+
+    def local(u):
+        bu = b[1] * u
+        bu[:-1] += b[2] * u[1:]
+        bu[1:] += b[0] * u[:-1]
+        return float(np.linalg.norm(a * u) + abs(lam) * np.linalg.norm(bu))
+
+    return serial_inverse_iteration(T, v, local)
+
+
+def quantization_scan_qz(family: str, alphas, M: int) -> QuantizationScan:
+    """Quantization scan whose every point is classified by the full
+    :func:`packetlab.solve_pencil` (real QZ plus the axis sweep), the way
+    circle points were before they ran the sweep alone."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    dist, floor, flagged = [], [], []
+    for alpha in alphas:
+        problem = _family_problem(family, alpha, 0.0, M)
+        sol = pl.solve_pencil(problem)
+        cand = sol.candidate
+        dist.append(float(np.min(sol.axis_distances[cand])) if np.any(cand) else math.inf)
+        floor.append(pl.uncertainty_floor(problem.A, alpha)[0])
+        flagged.append(bool(np.any(sol.physical)))
+    return QuantizationScan(
+        family, alphas, np.array(dist), np.array(floor), np.array(flagged, dtype=bool)
+    )
 
 
 def dense_pencil_eigenvalues(problem: pl.PencilProblem) -> np.ndarray:

@@ -121,6 +121,27 @@ def test_gamma_newton_matches_golden_section_oracle():
         assert minimized_second_moment(circular_coefficients(state))[1] == 0.0
 
 
+def test_gamma_star_of_mirrored_minima_is_positive():
+    # an even density (c_m = c_{-m} real) has mirrored minima +-gamma0 that
+    # tie in V and in |gamma| to roundoff; the positive one is returned, and
+    # a minimum at the seam as pi
+    rng = np.random.default_rng(3)
+    mirrored = 0
+    for _ in range(100):
+        M = int(rng.integers(2, 33))
+        half = rng.standard_normal(M + 1)
+        state = pl.normalize(np.concatenate([half[:0:-1], half]).astype(complex), SYM(M))
+        bk = circular_coefficients(state)
+        v, gamma = minimized_second_moment(bk)
+        assert 0.0 <= gamma <= np.pi
+        if 0.0 < gamma < np.pi:
+            mirrored += 1
+            ks = np.arange(1, bk.size)
+            v_mirror = np.pi**2 / 3 + np.sum(4 * (-1.0) ** ks / ks**2 * bk[1:] * np.exp(-1j * ks * gamma)).real
+            assert v_mirror == pytest.approx(v, abs=1e-12)
+    assert mirrored >= 30
+
+
 def test_gamma_star_matches_extended_precision_newton():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40

@@ -7,6 +7,9 @@ from conftest import (
     dense_pencil_eigenvalues,
     dense_smallest_singular_pair,
     oscillator_branches,
+    quantization_scan_qz,
+    serial_inverse_iteration,
+    serial_pencil_pair,
     shifted,
     tridiagonal,
     uncertainty_floor_bruteforce,
@@ -116,6 +119,82 @@ def test_banded_kernel_singular_and_tiny_pivots():
     assert pair.converged and pair.nudges == 1
     assert pair.sigma == 0.0
     assert np.allclose(np.abs(pair.vector), e2)
+
+
+@pytest.mark.parametrize(
+    "family, alpha",
+    [("circle", 0.0), ("circle", 0.3), ("circle", 2.0), ("oscillator", 0.5), ("oscillator", 3.0)],
+)
+def test_batched_kernel_matches_serial_oracle(family, alpha):
+    # every sweep point and every QZ eigenvalue of the pencil in one batch,
+    # against one serial inverse iteration per shift
+    import packetlab.pencil as pp
+
+    problem = pp._family_problem(family, alpha, 0.0, 64)
+    a, b = problem.bands()
+    v0 = pp._start_vector(a.size)
+    s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)
+    lams = np.concatenate([1j * s, pp._eigenvalues(problem, a, b)])
+    batched = pp._pencil_pairs(a, b, lams, v0)
+    serial = [serial_pencil_pair(a, b, lam, v0) for lam in lams]
+    for p, q in zip(batched, serial):
+        assert (p.steps, p.nudges, p.converged) == (q.steps, q.nudges, q.converged)
+        assert abs(p.sigma - q.sigma) <= 4 * np.spacing(q.sigma)
+        assert np.max(np.abs(p.vector - q.vector)) <= 1e-14
+    # the same certified S set as the serial sweep
+    certified = []
+    Aef, Bef = shifted(problem)
+    for S, q in zip(s, serial):
+        local = np.linalg.norm(Aef @ q.vector) + S * np.linalg.norm(Bef @ q.vector)
+        if q.sigma <= pp.SWEEP_RTOL * local:
+            certified.append(S)
+    swept, _ = pp._sweep_pairs(problem, a, b)
+    assert list(swept.imag) == certified
+    assert (len(certified) == pp.SWEEP_POINTS) == (family == "circle" and alpha == round(alpha))
+
+
+def test_batched_kernel_isolates_singular_blocks():
+    # an exactly singular block (a zero pivot) and one whose solve overflows
+    # (a subnormal pivot) among random blocks: only those two are nudged, and
+    # every block comes out bit for bit as the serial kernel has it alone
+    import packetlab.pencil as pp
+
+    rng = np.random.default_rng(7)
+    d = 9
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    sub, main, sup = cplx(5, d - 1), cplx(5, d), cplx(5, d - 1)
+    for j, pivot in ((1, 0.0), (3, 1e-310)):
+        sub[j] = sup[j] = 0.0
+        main[j] = 1.0
+        main[j, d // 2] = pivot
+    v0 = pp._start_vector(d)
+    batched = pp._inverse_iteration((sub, main, sup), v0)
+    for j, p in enumerate(batched):
+        q = serial_inverse_iteration((sub[j], main[j], sup[j]), v0)
+        assert p.nudges == (1 if j in (1, 3) else 0) == q.nudges
+        assert (p.steps, p.converged, p.sigma) == (q.steps, q.converged, q.sigma)
+        assert np.array_equal(p.vector, q.vector)
+
+
+def test_circle_scan_matches_qz_oracle():
+    # QZ decides nothing on the circle: the sweep-only scan writes the same
+    # CSV bytes as classifying every point with QZ plus the sweep
+    from packetlab.pencil import scan_to_csv_rows
+
+    alphas = [k / 10 for k in range(-20, 21)] + [0.999, 1.001, 0.9999999, -1.01]
+    for M in (32, 64):
+        scan = pl.quantization_scan("circle", alphas, M=M)
+        assert scan_to_csv_rows(scan) == scan_to_csv_rows(quantization_scan_qz("circle", alphas, M))
+
+
+def test_circle_flags_independent_of_truncation():
+    alphas = [k / 2 for k in range(-4, 5)] + [0.3, 1.7]
+    for M in (64, 128, 512):
+        scan = pl.quantization_scan("circle", alphas, M=M)
+        assert list(scan.flagged_alphas()) == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("family", [pl.circle_problem, pl.oscillator_problem])
@@ -249,18 +328,22 @@ def test_oscillator_scan_rejects_out_of_range():
 
 
 def test_scan_records_solver_failures(monkeypatch):
+    # a circle point runs the sweep alone and an oscillator point the full
+    # solve, so the failure goes into the call each family makes
     import packetlab.pencil as pp
 
     def boom(problem, **kw):
         raise pl.SingularPencilError("synthetic failure")
 
-    monkeypatch.setattr(pp, "solve_pencil", boom)
-    scan = pp.quantization_scan("circle", [0.0, 1.0], M=16)
-    assert all(e is not None for e in scan.errors)
-    assert not scan.flagged.any()
-    assert np.all(np.isinf(scan.min_axis_distance))
-    # floors are still reported (partial results, not a global failure)
-    assert np.allclose(scan.floor, [0.0, 0.0])
+    for family, solver in (("circle", "_sweep_solution"), ("oscillator", "solve_pencil")):
+        with monkeypatch.context() as patch:
+            patch.setattr(pp, solver, boom)
+            scan = pp.quantization_scan(family, [0.0, 1.0], M=16)
+        assert all(e is not None for e in scan.errors)
+        assert not scan.flagged.any()
+        assert np.all(np.isinf(scan.min_axis_distance))
+        # floors are still reported (partial results, not a global failure)
+        assert np.allclose(scan.floor, [0.0, 0.0])
 
 
 def test_scan_csv_format():
