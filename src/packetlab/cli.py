@@ -276,6 +276,8 @@ def _cmd_phase_min(args) -> int:
             args.out,
         )
     else:
+        payload["optimizerSuccess"] = profile.optimizer_success
+        payload["modulusVanishes"] = r.vanishes
         _emit(_json_dumps(payload), args.out)
     return EXIT_OK
 
@@ -292,8 +294,8 @@ def _cmd_f_scan(args) -> int:
         _emit("\n".join(table.to_csv_rows()), args.out)
     else:
         payload = [
-            {"deltaPhiP": float(t), "f": float(f), "converged": bool(c)}
-            for t, f, c in zip(table.delta_phi_p, table.f, table.converged)
+            {"deltaPhiP": float(t), "f": float(f), "converged": bool(c), "rounds": int(n), "violation": float(v)}
+            for t, f, c, n, v in zip(table.delta_phi_p, table.f, table.converged, table.rounds, table.violation)
         ]
         _emit(_json_dumps(payload), args.out)
     return EXIT_OK if bool(np.all(table.converged)) else EXIT_NUMERICAL

@@ -75,8 +75,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (
     IncompatibleFamilyError,
@@ -283,6 +281,8 @@ def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> list[np.ndarr
     of (dl, d, du, du2, pivot offset), each padded to length d with the
     zeros that couple it to the next block.
     """
+    from scipy.linalg.lapack import zgttrf
+
     k, d = main.shape
     n = k * d
     dl, dd, du, du2 = (np.zeros((k, d), dtype=complex) for _ in range(4))
@@ -306,6 +306,8 @@ def _solve(lu: list[np.ndarray], rows: np.ndarray, v: np.ndarray) -> tuple[np.nd
     overflowed entry is NaN, so one such block spoils the others: the step
     is then taken again block by block.
     """
+    from scipy.linalg.lapack import zgttrs
+
     if rows.size == 0:
         return v, np.ones(0, dtype=bool)
     # rows are sorted and distinct, so as many rows as blocks is all of them
@@ -430,6 +432,8 @@ def _pencil_pairs(a: np.ndarray, b: Bands, lams: np.ndarray, v: np.ndarray) -> l
 
 def _eigenvalues(problem: PencilProblem, a: np.ndarray, b: Bands) -> np.ndarray:
     """Finite eigenvalues of the pencil by real QZ, without eigenvectors."""
+    import scipy.linalg as sla
+
     sub, main, sup = b
     if OperatorId(problem.B.id) in _SINE_IDS:
         # D^H (B - beta) D with D = diag(i^k): (-1/2) off the diagonal, exactly

@@ -103,6 +103,12 @@ class ModulusProfile:
     def min_abs(self) -> float:
         return float(np.min(np.abs(self.values)))
 
+    @property
+    def vanishes(self) -> bool:
+        """Whether |r| falls to ZERO_LEVEL of its peak somewhere on the grid
+        (``minimize_phase`` then warns ModulusZeroWarning)."""
+        return self.min_abs <= ZERO_LEVEL * float(np.max(np.abs(self.values)))
+
 
 def modulus_profile(values) -> ModulusProfile:
     """Normalize samples so that integral r^2 dphi = 1."""
@@ -275,7 +281,7 @@ def minimize_phase(
     phi = grid_angles(r.grid)
     rv = r.values
 
-    has_zero = r.min_abs <= ZERO_LEVEL * float(np.max(np.abs(rv)))
+    has_zero = r.vanishes
     if has_zero:
         warnings.warn(
             "modulus vanishes on the grid; skipping the linear-phase assertion",
@@ -372,6 +378,24 @@ def read_f_table(lines) -> FTable:
     return FTable(data[:, 0], data[:, 1], data[:, 2].astype(bool))
 
 
+def _even_sector(window: ModeWindow):
+    """The even-parity sector of a symmetric window: (S, L^2, Phi_p^2).
+
+    S is the (2M+1) x (M+1) isometry whose columns are |0> and
+    (|k> + |-k>)/sqrt(2), k = 1..M; L^2 is the sector's diagonal k^2 and
+    Phi_p^2 = S^T P S is folded from the window's matrix, so its elements
+    keep one source (``operators.build``).  A sector vector u expands to
+    the window as S @ u.
+    """
+    M = window.M
+    k = np.arange(1, M + 1)
+    S = np.zeros((window.dimension, M + 1))
+    S[M, 0] = 1.0
+    S[M + k, k] = S[M - k, k] = math.sqrt(0.5)
+    P = build(OperatorId.PHI_P_SQUARED, window).entries.real
+    return S, np.diag(np.arange(M + 1.0) ** 2), S.T @ P @ S
+
+
 def f_table(targets) -> FTable:
     """Tabulate f by minimizing Delta L at fixed Delta phi_p.
 
@@ -385,14 +409,22 @@ def f_table(targets) -> FTable:
     sqrt(<0|Phi_p^2|0>) = t.  That mu is found by Newton steps in log mu,
     at most F_MAX_OUTER per target and each clipped to +-3, from the
     narrow-packet (oscillator) value mu = 1 / (4 t^4), so a target the
-    window cannot meet leaves the others untouched.  One ``eigh`` of H(mu)
-    gives both derivatives of the ground energy E0: <phi_p^2> = E0'(mu) and
-    E0'' = -2 sum_n |<n|Phi_p^2|0>|^2 / (E_n - E0).
+    window cannot meet leaves the others untouched.
 
-    Each point is read off the last ``eigh``: Delta phi_p =
-    sqrt(<0|Phi_p^2|0>) and (Delta L)^2 = <0|L^2|0> - <0|L|0>^2.  No gamma
-    search is needed: a rotation of |0> keeps <L^2>, so |0> already has the
-    least <phi_p^2> of its rotations (gamma* = 0).  A point is
+    L^2 and Phi_p^2 both commute with parity m -> -m, and the ground state
+    is even (the ground state of -d^2/dphi^2 + mu phi_p^2 is nodeless, so
+    it cannot be odd).  Each step therefore diagonalizes H(mu) on the even
+    sector {|0>, (|k> + |-k>)/sqrt(2)} (``_even_sector``): F_MODES + 1 = 65
+    modes instead of the window's 129.  One ``eigh`` of the sector matrix
+    gives both derivatives of the ground energy E0: <phi_p^2> = E0'(mu) and
+    E0'' = -2 sum_n |<n|Phi_p^2|0>|^2 / (E_n - E0), which loses nothing to
+    the reduction because <odd|Phi_p^2|0> = 0.
+
+    Each point is read off the last ``eigh``, its vector expanded to the
+    window: Delta phi_p = sqrt(<0|Phi_p^2|0>) and (Delta L)^2 = <0|L^2|0>
+    (<L> = 0 for an even state).  No gamma search is needed: a rotation of
+    |0> keeps <L^2>, so |0> already has the least <phi_p^2> of its
+    rotations (gamma* = 0).  A point is
     ``converged`` when |Delta phi_p - target| <= F_NEWTON_TOL and the
     ground state's tail mass is below ``states.TAIL_TOL``; points that fail
     either are reported, not dropped.  Every point carries its Newton
@@ -408,30 +440,29 @@ def f_table(targets) -> FTable:
         raise ValueError(f"targets must lie strictly inside (0, {PHI_P_MAX})")
 
     window = ModeWindow.symmetric(F_MODES)
+    S, L2, P2 = _even_sector(window)
     modes = window.modes.astype(float)
-    L2 = np.diag(modes**2)
-    P2 = build(OperatorId.PHI_P_SQUARED, window).entries.real
 
     out_t, out_f, out_rounds, out_viol, out_ok = [], [], [], [], []
     for t in targets:
         mu = 0.25 / t**4
         for rounds in range(1, F_MAX_OUTER + 1):
-            E, V = np.linalg.eigh(L2 + mu * P2)
-            p = V.T @ (P2 @ V[:, 0])  # <n|Phi_p^2|0>
+            E, U = np.linalg.eigh(L2 + mu * P2)
+            p = U.T @ (P2 @ U[:, 0])  # <n|Phi_p^2|0>
             dp = math.sqrt(p[0])
             if abs(dp - t) <= F_NEWTON_TOL:
                 break
             d2 = -2.0 * float(np.sum(p[1:] ** 2 / (E[1:] - E[0])))  # E0''
             slope = mu * d2 / (2.0 * dp)  # d sqrt(E0') / d log mu
             mu *= math.exp(min(max((t - dp) / slope, -3.0), 3.0))
-        c2 = V[:, 0] ** 2
-        var_l = max(float(modes**2 @ c2 - (modes @ c2) ** 2), 0.0)
+        v = S @ U[:, 0]
+        var_l = float(modes**2 @ v**2)  # <L> = 0 in the even sector
         flin = 2.0 * math.sqrt(var_l) * dp / (1.0 - 3.0 * dp**2 / math.pi**2)
         out_t.append(dp)
         out_f.append(flin**2)
         out_rounds.append(rounds)
         out_viol.append(abs(dp - t))
-        out_ok.append(abs(dp - t) <= F_NEWTON_TOL and tail_mass(V[:, 0], window) < TAIL_TOL)
+        out_ok.append(abs(dp - t) <= F_NEWTON_TOL and tail_mass(v, window) < TAIL_TOL)
     order = np.argsort(out_t)
     return FTable(
         np.asarray(out_t)[order],

@@ -12,8 +12,9 @@ inverse iteration against the serial one it replaced, the sweep-only circle
 scan against the full QZ-plus-sweep solve, the two-level
 uncertainty floor against a linear program over the probability simplex, and
 the ground-state f table against the same ground states reported through
-the gamma-searching moment engine, and the f table and the Newton phase
-minimizer against the same problems solved by L-BFGS-B.
+the gamma-searching moment engine, its even-parity sector against the full
+mode window and a 40-digit mpmath solve, and the f table and the Newton
+phase minimizer against the same problems solved by L-BFGS-B.
 """
 
 import math
@@ -324,12 +325,14 @@ def f_table_via_moments(targets, m: int = 0) -> pl.FTable:
     """f table from the same ground states, reported through ``moments``.
 
     The Newton loop of :func:`packetlab.f_table` finds the ground state of
-    L^2 + mu Phi_p^2 for each target; here that state is shifted by m modes
-    (phase slope m) and handed to the moment engine, whose Delta L is taken
-    about the shifted mean and whose Delta phi_p comes from its coarse scan
-    and golden-section search over gamma.  A point counts as converged when
-    it is within F_CONSTRAINT_TOL of its target and the ground state's tail
-    mass is below ``states.TAIL_TOL``.
+    L^2 + mu Phi_p^2 for each target on the even-parity sector; here the
+    sector matrix is folded afresh from the window's Phi_p^2, and the
+    expanded ground state is shifted by m modes (phase slope m) and handed
+    to the moment engine, whose Delta L is taken about the shifted mean and
+    whose Delta phi_p comes from its coarse scan and Newton search over
+    gamma.  A point counts as converged when it is within F_CONSTRAINT_TOL
+    of its target and the ground state's tail mass is below
+    ``states.TAIL_TOL``.
     """
     from packetlab.states import TAIL_TOL, tail_mass
     from packetlab.variational import F_MAX_OUTER, F_MODES, F_NEWTON_TOL
@@ -337,8 +340,14 @@ def f_table_via_moments(targets, m: int = 0) -> pl.FTable:
     F_CONSTRAINT_TOL = 1e-6
     targets = np.sort(np.atleast_1d(np.asarray(targets, dtype=float)))
     window = pl.ModeWindow.symmetric(F_MODES)
-    L2 = np.diag(window.modes.astype(float) ** 2)
-    P2 = pl.build(pl.OperatorId.PHI_P_SQUARED, window).entries.real
+    P = pl.build(pl.OperatorId.PHI_P_SQUARED, window).entries.real
+    # fold onto |0>, (|k> + |-k>)/sqrt(2): rows and columns k and -k add
+    fold = np.zeros((F_MODES + 1, window.dimension))
+    fold[0, F_MODES] = 1.0
+    for k in range(1, F_MODES + 1):
+        fold[k, F_MODES + k] = fold[k, F_MODES - k] = math.sqrt(0.5)
+    L2 = np.diag(np.arange(F_MODES + 1.0) ** 2)
+    P2 = fold @ P @ fold.T
     shifted_window = pl.ModeWindow.symmetric(F_MODES + abs(m))
 
     out_t, out_f, out_ok = [], [], []
@@ -352,18 +361,57 @@ def f_table_via_moments(targets, m: int = 0) -> pl.FTable:
                 break
             d2 = -2.0 * float(np.sum(p[1:] ** 2 / (E[1:] - E[0])))
             mu *= math.exp(min(max((t - dp) / (mu * d2 / (2.0 * dp)), -3.0), 3.0))
+        v = fold.T @ V[:, 0]
         c = np.zeros(shifted_window.dimension)
-        c[abs(m) + m : abs(m) + m + window.dimension] = V[:, 0]
+        c[abs(m) + m : abs(m) + m + window.dimension] = v
         rep = pl.moments(pl.normalize(c, shifted_window))
         dp = rep.delta_phi_p
         flin = 2.0 * rep.delta_l * dp / (1.0 - 3.0 * dp**2 / math.pi**2)
         out_t.append(dp)
         out_f.append(flin**2)
-        out_ok.append(abs(dp - t) <= F_CONSTRAINT_TOL and tail_mass(V[:, 0], window) < TAIL_TOL)
+        out_ok.append(abs(dp - t) <= F_CONSTRAINT_TOL and tail_mass(v, window) < TAIL_TOL)
     order = np.argsort(out_t)
     return pl.FTable(
         np.asarray(out_t)[order], np.asarray(out_f)[order], np.asarray(out_ok)[order]
     )
+
+
+def full_window_ground_state(mu: float, M: int) -> np.ndarray:
+    """Ground state of L^2 + mu Phi_p^2 on all modes -M..M: the 129 x 129
+    solve (at M = 64) that f_table ran before it moved to the even sector."""
+    window = pl.ModeWindow.symmetric(M)
+    P = pl.build(pl.OperatorId.PHI_P_SQUARED, window).entries.real
+    return np.linalg.eigh(np.diag(window.modes.astype(float) ** 2) + mu * P)[1][:, 0]
+
+
+def sector_ground_state_mp(L2: np.ndarray, P2: np.ndarray, mu: float, dps: int = 40):
+    """(Delta L)^2 and Delta phi_p of the ground state of the sector matrix
+    L2 + mu P2 (diagonal L2, entries taken as exact), carried at ``dps``
+    digits.
+
+    The vector is one step of inverse iteration, shifted by the double
+    ground energy, from the double ground state; the step shrinks its error
+    by about (E0 - shift) / (E1 - E0) ~ 1e-17, to ~1e-30.  Its Rayleigh
+    quotient must equal the least eigenvalue from ``mpmath.eigsy``, so the
+    vector is the ground state and not a neighbour.  (Taking the vector
+    from ``eigsy`` as well costs three times as long and moves the results
+    by 3e-31 relative at mu = 1e-3.)
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = L2.shape[0]
+        E, V = np.linalg.eigh(L2 + mu * P2)
+        H = mpmath.matrix((L2 + mu * P2).tolist())
+        shifted = H - mpmath.mpf(float(E[0])) * mpmath.eye(n)
+        u = mpmath.lu_solve(shifted, mpmath.matrix(V[:, 0].tolist()))
+        u /= mpmath.norm(u)
+        e0 = mpmath.eigsy(H, eigvals_only=True)[0]
+        # eigsy itself agrees to ~1e-30; the gap to the next level is O(1)
+        assert abs((u.T * H * u)[0] - e0) <= mpmath.mpf(10) ** (15 - dps) * (1 + abs(e0))
+        var_l = mpmath.fsum(mpmath.mpf(L2[k, k]) * u[k] ** 2 for k in range(n))
+        p2 = (u.T * mpmath.matrix(P2.tolist()) * u)[0]
+        return var_l, mpmath.sqrt(p2)
 
 
 # f_table_lbfgsb: cosine harmonics of the modulus square root g

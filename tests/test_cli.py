@@ -120,6 +120,40 @@ def test_f_scan_command(capsys):
     assert all(ln.endswith(",1") for ln in lines[1:])
 
 
+def test_phase_min_json_carries_solver_flags(capsys):
+    # a vanishing modulus is marked in the artifact, not only on stderr;
+    # the CSV columns stay as they were
+    code, out, _ = run(capsys, "phase-min", "--winding", "1", "--modulus", "vonmises", "--kappa", "2")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["optimizerSuccess"] is True and payload["modulusVanishes"] is False
+    with pytest.warns(pl.ModulusZeroWarning):
+        code, out, _ = run(capsys, "phase-min", "--winding", "1", "--modulus", "half-cosine")
+    payload = json.loads(out)
+    assert code == 0
+    assert isinstance(payload["optimizerSuccess"], bool) and payload["modulusVanishes"] is True
+    with pytest.warns(pl.ModulusZeroWarning):
+        code, out, _ = run(capsys, "phase-min", "--winding", "1", "--modulus", "half-cosine", "--output", "csv")
+    assert code == 0
+    assert out.split("\n")[0] == "winding,offset,fitResidual,deltaL,meanL"
+
+
+def test_f_scan_json_explains_each_point(capsys):
+    from packetlab.variational import F_NEWTON_TOL
+
+    code, out, _ = run(capsys, "f-scan", "--targets", "0.5,1.0,0.04")
+    assert code == 3  # 0.04 is met but not resolved by the window
+    points = json.loads(out)
+    table = pl.f_table([0.5, 1.0, 0.04])
+    assert [p["rounds"] for p in points] == table.rounds.tolist()
+    assert [p["violation"] for p in points] == table.violation.tolist()
+    assert all(p["violation"] <= F_NEWTON_TOL for p in points)
+    assert [p["converged"] for p in points] == [False, True, True]
+    code, out, _ = run(capsys, "f-scan", "--targets", "0.5,1.0,0.04", "--output", "csv")
+    assert code == 3
+    assert out.strip().split("\n") == table.to_csv_rows()
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "css", "--S", "2", "--ell", "3", "--center", "0.7")
     _, out2, _ = run(capsys, "css", "--S", "2", "--ell", "3", "--center", "0.7")

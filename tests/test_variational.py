@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import packetlab as pl
-from conftest import f_table_lbfgsb, f_table_via_moments, minimize_phase_lbfgsb
+from conftest import (
+    f_table_lbfgsb,
+    f_table_via_moments,
+    full_window_ground_state,
+    minimize_phase_lbfgsb,
+    sector_ground_state_mp,
+)
 from packetlab import variational
 from packetlab.cli import main
 
@@ -20,8 +26,15 @@ CRITERION_6_WINDINGS = (-2, -1, 0, 1, 2, 0.5, -0.5)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
+    # no scipy module at all, scipy.optimize included: scipy is imported by
+    # the functions that call it, so the commands that never need it (css,
+    # moments, relations, f-scan, floor) start without it
     src = str(Path(pl.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import packetlab; assert 'scipy.optimize' not in sys.modules"
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import packetlab; "
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "assert not loaded, loaded"
+    )
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
@@ -161,6 +174,60 @@ def test_ground_state_needs_no_gamma_search():
         direct = np.sqrt(c @ P2 @ c)
         assert abs(dp - direct) <= 1e-13 * direct, mu
         assert abs(gamma) <= 1e-13, mu
+
+
+def _ground_state_spreads(v, window, P):
+    """(Delta L)^2 about the mean and Delta phi_p of a real window vector."""
+    modes = window.modes.astype(float)
+    c2 = v**2
+    return float(modes**2 @ c2 - (modes @ c2) ** 2), float(np.sqrt(v @ P @ v))
+
+
+def test_even_sector_matches_full_window():
+    window = pl.ModeWindow.symmetric(variational.F_MODES)
+    S, L2, P2 = variational._even_sector(window)
+    P = pl.build(pl.OperatorId.PHI_P_SQUARED, window).entries.real
+    F = variational.F_MODES
+    k = np.arange(1, F + 1)
+    assert np.max(np.abs(S.T @ S - np.eye(F + 1))) <= 1e-15
+    # the fold: <0|P|0>, sqrt2 <0|P|k> and <j|P|k> + <j|P|-k>
+    assert P2[0, 0] == P[F, F]
+    assert np.allclose(P2[0, 1:], np.sqrt(2.0) * P[F, F + k], rtol=1e-15, atol=0)
+    assert np.allclose(P2[1:, 1:], P[np.ix_(F + k, F + k)] + P[np.ix_(F + k, F - k)], rtol=1e-14, atol=1e-17)
+    for mu in np.logspace(-3, 5, 9):
+        vs = S @ np.linalg.eigh(L2 + mu * P2)[1][:, 0]
+        v = full_window_ground_state(mu, F)
+        v *= np.sign(v @ vs)
+        # measured over these mu: vectors and parity <= 3.0e-13, Delta phi_p
+        # <= 3.7e-13 and (Delta L)^2 <= 1.5e-10 relative (at mu = 1e-3, where
+        # the full window is the less accurate of the two; see
+        # test_even_sector_matches_mpmath); every bound is 3x or more above
+        assert np.max(np.abs(v - v[::-1])) <= 1e-12, mu  # the ground state is even
+        assert np.max(np.abs(v - vs)) <= 1e-12, mu
+        (l2, dp), (l2s, dps) = _ground_state_spreads(v, window, P), _ground_state_spreads(vs, window, P)
+        assert abs(l2 - l2s) <= 5e-10 * l2s, mu
+        assert abs(dp - dps) <= 2e-12, mu
+
+
+@pytest.mark.parametrize("mu", [1e-3, 3e-3, 0.3])
+def test_even_sector_matches_mpmath(mu):
+    pytest.importorskip("mpmath")
+    window = pl.ModeWindow.symmetric(variational.F_MODES)
+    S, L2, P2 = variational._even_sector(window)
+    P = pl.build(pl.OperatorId.PHI_P_SQUARED, window).entries.real
+    ref_l2, ref_dp = sector_ground_state_mp(L2, P2, mu)
+    ref_l2, ref_dp = float(ref_l2), float(ref_dp)
+    l2, dp = _ground_state_spreads(S @ np.linalg.eigh(L2 + mu * P2)[1][:, 0], window, P)
+    # measured: (Delta L)^2 <= 9.7e-14 relative and Delta phi_p <= 3.7e-14
+    # (at mu = 0.3); bounds about 10x above
+    L2_TOL, DP_TOL = 1e-12, 3e-13
+    assert abs(l2 - ref_l2) <= L2_TOL * ref_l2
+    assert abs(dp - ref_dp) <= DP_TOL
+    if mu == 1e-3:
+        # the full window's roundoff misses the (Delta L)^2 bound at the
+        # widest packet (measured 1.5e-10 relative): the check discriminates
+        l2_full, _ = _ground_state_spreads(full_window_ground_state(mu, variational.F_MODES), window, P)
+        assert abs(l2_full - ref_l2) > L2_TOL * ref_l2
 
 
 def test_f_table_errors():
