@@ -62,10 +62,6 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, allow_nan=True)
-
-
 def _load_state(path: str) -> states.AngularState:
     text = sys.stdin.read() if path == "-" else open(path).read()
     return states.state_from_json(text)
@@ -149,7 +145,7 @@ def _cmd_css(args) -> int:
         )
     else:
         _emit(
-            _json_dumps(
+            json.dumps(
                 {"state": _state_payload(state), "moments": report_to_dict(report)}
             ),
             args.out,
@@ -182,7 +178,7 @@ def _cmd_relations(args) -> int:
         ]
         _emit("\n".join(rows), args.out)
     else:
-        _emit(_json_dumps(margins_to_dict(margins)), args.out)
+        _emit(json.dumps(margins_to_dict(margins)), args.out)
     return EXIT_OK
 
 
@@ -209,7 +205,7 @@ def _cmd_pencil(args) -> int:
             "residual": [float(x) for x in sol.residuals],
             "physical": [bool(x) for x in sol.physical],
         }
-        _emit(_json_dumps(payload), args.out)
+        _emit(json.dumps(payload), args.out)
     return EXIT_OK
 
 
@@ -233,7 +229,7 @@ def _cmd_scan(args) -> int:
     if args.output == "csv":
         _emit("\n".join(pencil_mod.scan_to_csv_rows(scan)), args.out)
     else:
-        _emit(_json_dumps(pencil_mod.scan_to_dict(scan)), args.out)
+        _emit(json.dumps(pencil_mod.scan_to_dict(scan)), args.out)
     return EXIT_NUMERICAL if any(e is not None for e in scan.errors) else EXIT_OK
 
 
@@ -243,15 +239,18 @@ def _cmd_floor(args) -> int:
     if args.output == "csv":
         _emit("alpha,floor\n" + f"{_f17(args.alpha)},{_f17(floor)}", args.out)
     else:
-        _emit(_json_dumps({"alpha": args.alpha, "floor": floor, "state": _state_payload(state)}), args.out)
+        _emit(json.dumps({"alpha": args.alpha, "floor": floor, "state": _state_payload(state)}), args.out)
     return EXIT_OK
 
 
 def _cmd_phase_min(args) -> int:
     G = args.grid
     if args.modulus_file:
-        samples = np.asarray(json.loads(open(args.modulus_file).read()), dtype=float)
-        r = variational.modulus_profile(samples)
+        samples = json.loads(open(args.modulus_file).read())
+        numbers = isinstance(samples, list) and all(isinstance(x, (int, float)) for x in samples)
+        if not (numbers and samples):
+            raise ValueError(f"{args.modulus_file} must hold a non-empty JSON array of numbers")
+        r = variational.modulus_profile(np.asarray(samples, dtype=float))
     elif args.modulus == "uniform":
         r = variational.uniform_modulus(G)
     elif args.modulus == "vonmises":
@@ -278,7 +277,7 @@ def _cmd_phase_min(args) -> int:
     else:
         payload["optimizerSuccess"] = profile.optimizer_success
         payload["modulusVanishes"] = r.vanishes
-        _emit(_json_dumps(payload), args.out)
+        _emit(json.dumps(payload), args.out)
     return EXIT_OK
 
 
@@ -297,7 +296,7 @@ def _cmd_f_scan(args) -> int:
             {"deltaPhiP": float(t), "f": float(f), "converged": bool(c), "rounds": int(n), "violation": float(v)}
             for t, f, c, n, v in zip(table.delta_phi_p, table.f, table.converged, table.rounds, table.violation)
         ]
-        _emit(_json_dumps(payload), args.out)
+        _emit(json.dumps(payload), args.out)
     return EXIT_OK if bool(np.all(table.converged)) else EXIT_NUMERICAL
 
 
@@ -324,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except PacketLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -81,14 +81,6 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", _freeze(e))
 
 
-def _shift_pair(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowering shift E- (ones on the superdiagonal) and its adjoint E+."""
-    lower = np.zeros((d, d), dtype=complex)
-    idx = np.arange(d - 1)
-    lower[idx, idx + 1] = 1.0
-    return lower, lower.conj().T
-
-
 def build(op_id: OperatorId, window: ModeWindow) -> OperatorMatrix:
     """Construct the matrix of ``op_id`` on ``window``.
 
@@ -108,12 +100,14 @@ def build(op_id: OperatorId, window: ModeWindow) -> OperatorMatrix:
     m = window.modes
     if op_id is OperatorId.ANGULAR_MOMENTUM or op_id is OperatorId.NUMBER:
         entries = np.diag(m.astype(complex))
-    elif op_id in (OperatorId.COS_PHI, OperatorId.PHASE_COS):
-        lower, upper = _shift_pair(d)
-        entries = 0.5 * (lower + upper)
-    elif op_id in (OperatorId.SIN_PHI, OperatorId.PHASE_SIN):
-        lower, upper = _shift_pair(d)
-        entries = (upper - lower) / 2j  # (m, m+1) = +i/2, (m, m-1) = -i/2
+    elif op_id in (OperatorId.COS_PHI, OperatorId.PHASE_COS, OperatorId.SIN_PHI, OperatorId.PHASE_SIN):
+        # the two nonzero diagonals: cos has 1/2 on both, sin (m, m+1) = +i/2
+        # and (m+1, m) = -i/2
+        half = 0.5j if op_id in (OperatorId.SIN_PHI, OperatorId.PHASE_SIN) else 0.5
+        entries = np.zeros((d, d), dtype=complex)
+        idx = np.arange(d - 1)
+        entries[idx, idx + 1] = half
+        entries[idx + 1, idx] = np.conj(half)
     elif op_id is OperatorId.PHI_P:
         k = m[None, :] - m[:, None]  # n - m
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -148,16 +148,6 @@ class PencilProblem:
         B = self.B.entries
         return a, (np.diagonal(B, -1), np.diagonal(B) - self.beta, np.diagonal(B, 1))
 
-    def b_norm(self) -> float:
-        """||B - beta||_2 in closed form.
-
-        B is unitarily similar to the Toeplitz tridiagonal with 1/2 off the
-        diagonal, whose eigenvalues are cos(k pi / (d + 1)), k = 1..d.
-        """
-        d = self.window.dimension
-        k = np.arange(1, d + 1)
-        return float(np.max(np.abs(np.cos(k * np.pi / (d + 1)) - self.beta)))
-
 
 def circle_problem(alpha: float, beta: float = 0.0, M: int = 64) -> PencilProblem:
     """A = angular momentum, B = sin(phi) on a symmetric window."""
@@ -234,7 +224,7 @@ class SingularPair(NamedTuple):
     sigma: float          # ||T v||, exactly the returned vector's residual
     vector: np.ndarray    # unit
     steps: int            # iterations run, nudges included
-    nudges: int           # diagonal shifts of a singular or overflowing LU
+    nudges: int           # diagonal shifts of an LU whose solve failed
     converged: bool       # a stopping rule was met before the step cap
 
 
@@ -302,14 +292,13 @@ def _solve(lu: list[np.ndarray], rows: np.ndarray, v: np.ndarray) -> tuple[np.nd
     The blocks are solved as one system (?gttrs with T^H, then with T), and
     each row is scaled to unit norm after each solve, so a T singular to
     working precision cannot overflow.  Returns (y, ok); ``ok`` is False for
-    a block whose solve overflowed or vanished.  A zero coupling times an
-    overflowed entry is NaN, so one such block spoils the others: the step
-    is then taken again block by block.
+    a block whose solve overflowed or vanished, which includes every block
+    with an exact zero on its U diagonal (?gttrs divides by it).  A zero
+    coupling times a non-finite entry is NaN, so one such block spoils the
+    others: the step is then taken again block by block.
     """
     from scipy.linalg.lapack import zgttrs
 
-    if rows.size == 0:
-        return v, np.ones(0, dtype=bool)
     # rows are sorted and distinct, so as many rows as blocks is all of them
     dl, dd, du, du2, piv = lu if rows.size == lu[1].shape[0] else (x[rows] for x in lu)
     k, d = dd.shape
@@ -337,20 +326,19 @@ def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair
 
     Every block is factored once (:func:`_factor`), and each step solves
     T^H z = v and then T y = z for all blocks still iterating at once
-    (:func:`_solve`).  A block whose LU is exactly singular (a zero on its
-    own U diagonal), or whose solve overflows anyway, has its diagonal
-    shifted by roundoff and is refactored: an LU nudge, which uses up a step
-    of that block alone.  A block has converged when sigma = ||T v|| changes
-    by at most 1e-6 relative after the fourth step or, given ``local`` (a
-    function of block indices and their vectors bounding the size of the
-    terms of T v), when sigma is at roundoff of local.  Each step iterates
-    only the blocks that have not converged.
+    (:func:`_solve`).  A block whose solve fails (it overflows or vanishes,
+    as it always does when its U has an exact zero on the diagonal) has its
+    diagonal shifted by roundoff and is refactored: an LU nudge, which uses
+    up a step of that block alone.  A block has converged when
+    sigma = ||T v|| changes by at most 1e-6 relative after the fourth step
+    or, given ``local`` (a function of block indices and their vectors
+    bounding the size of the terms of T v), when sigma is at roundoff of
+    local.  Each step iterates only the blocks that have not converged.
     """
     sub, main, sup = T
     k, d = main.shape
-    shifted = main.copy()  # the diagonal the LU is taken of, nudged where singular
+    shifted = main.copy()  # the diagonal the LU is taken of, nudged where a solve failed
     lu = _factor(sub, shifted, sup)
-    singular = np.any(lu[1] == 0.0, axis=1)
     stale = np.zeros(k, dtype=bool)  # nudged, to be refactored
     V = np.tile(v, (k, 1))
     sigma = np.full(k, math.inf)
@@ -365,17 +353,15 @@ def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair
             redo = np.flatnonzero(stale)
             for x, new in zip(lu, _factor(sub[redo], shifted[redo], sup[redo])):
                 x[redo] = new
-            singular[redo] = np.any(lu[1][redo] == 0.0, axis=1)
             stale[redo] = False
-        rows = live[~singular[live]]
-        y, ok = _solve(lu, rows, V[rows])
-        bad = np.concatenate([live[singular[live]], rows[~ok]])
-        if bad.size:  # singular or overflowing LU: nudge the diagonal by roundoff
+        y, ok = _solve(lu, live, V[live])
+        bad = live[~ok]
+        if bad.size:  # the solve failed: nudge the diagonal by roundoff
             m = shifted[bad]
             shifted[bad] = m + (1e-300 + 1e-16 * np.max(np.abs(m), axis=1))[:, None]
             nudges[bad] += 1
             stale[bad] = True
-        good = rows[ok]
+        good = live[ok]
         V[good] = y[ok]
         new = _norms(_tri_matvec((sub[good], main[good], sup[good]), V[good]))
         done = (it > 2) & (np.abs(new - sigma[good]) <= 1e-6 * np.maximum(new, 1e-300))
@@ -479,19 +465,16 @@ def _qz_pairs(problem: PencilProblem, a: np.ndarray, b: Bands) -> Pairs:
     return w, _pencil_pairs(a, b, w, _start_vector(a.size))
 
 
-def _sweep_pairs(problem: PencilProblem, a: np.ndarray, b: Bands) -> Pairs:
+def _sweep_pairs(a: np.ndarray, b: Bands) -> Pairs:
     """The imaginary-axis sweep: (iS, v) for each of SWEEP_POINTS values S
     across S_WINDOW whose smallest singular pair (sigma, v) of T(iS) satisfies
-    sigma <= SWEEP_RTOL * (||(A-alpha)v|| + S ||(B-beta)v||)."""
+    sigma <= SWEEP_RTOL * (||(A-alpha)v|| + S ||(B-beta)v||), the local scale
+    computed for every point."""
     s = np.linspace(S_WINDOW[0], S_WINDOW[1], SWEEP_POINTS)
     pairs = _pencil_pairs(a, b, 1j * s, _start_vector(a.size))
     sigma = np.array([p.sigma for p in pairs])
-    # The global scale bounds the local one, so it screens out points that
-    # cannot certify before the local norm is computed.
-    near = np.flatnonzero(sigma <= SWEEP_RTOL * (np.max(np.abs(a)) + s * problem.b_norm()))
-    V = np.array([pairs[j].vector for j in near], dtype=complex).reshape(near.size, a.size)
-    local = _local_scale(a, b, 1j * s[near], V)
-    certified = near[sigma[near] <= SWEEP_RTOL * local]
+    V = np.array([p.vector for p in pairs], dtype=complex)
+    certified = np.flatnonzero(sigma <= SWEEP_RTOL * _local_scale(a, b, 1j * s, V))
     return 1j * s[certified], [pairs[j] for j in certified]
 
 
@@ -555,13 +538,13 @@ def solve_pencil(problem: PencilProblem, *, axis_sweep: bool = True) -> PencilSo
     """
     a, b = problem.bands()
     qz = _qz_pairs(problem, a, b)
-    return _solution(problem, qz, _sweep_pairs(problem, a, b) if axis_sweep else _NO_PAIRS)
+    return _solution(problem, qz, _sweep_pairs(a, b) if axis_sweep else _NO_PAIRS)
 
 
 def _sweep_solution(problem: PencilProblem) -> PencilSolution:
     """The sweep's certified pairs alone, classified as in :func:`solve_pencil`."""
     a, b = problem.bands()
-    return _solution(problem, _NO_PAIRS, _sweep_pairs(problem, a, b))
+    return _solution(problem, _NO_PAIRS, _sweep_pairs(a, b))
 
 
 # -- uncertainty floor at fixed expectation ---------------------------------

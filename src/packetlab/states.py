@@ -249,8 +249,14 @@ def state_to_json(state: AngularState) -> str:
 
 
 def state_from_json(text: str) -> AngularState:
+    """Parse the :func:`state_to_json` format; ValueError for any other payload."""
     payload = json.loads(text)
-    window = ModeWindow(WindowKind(payload["window"]["kind"]), int(payload["window"]["M"]))
-    pairs = payload["coeffs"]
-    c = np.array([complex(re, im) for re, im in pairs])
+    try:
+        window = ModeWindow(WindowKind(payload["window"]["kind"]), int(payload["window"]["M"]))
+        c = np.array([complex(re, im) for re, im in payload["coeffs"]])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(
+            'a state is {"window": {"kind": ..., "M": ...}, "coeffs": [[re, im], ...]}; '
+            f"this payload is not ({type(exc).__name__}: {exc})"
+        ) from exc
     return normalize(c, window)

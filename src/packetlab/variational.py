@@ -373,8 +373,12 @@ class FTable:
 
 
 def read_f_table(lines) -> FTable:
-    body = [ln for ln in lines if ln.strip() and not ln.startswith("deltaPhiP")]
-    data = np.array([[float(x) for x in ln.split(",")] for ln in body])
+    """Parse :meth:`FTable.to_csv_rows` lines; ValueError unless there is a
+    row and every row has the deltaPhiP, f and converged columns."""
+    body = [ln.split(",") for ln in lines if ln.strip() and not ln.startswith("deltaPhiP")]
+    if not body or any(len(row) < 3 for row in body):
+        raise ValueError("an f-table needs rows of deltaPhiP,f,converged")
+    data = np.array([[float(x) for x in row] for row in body])
     return FTable(data[:, 0], data[:, 1], data[:, 2].astype(bool))
 
 

@@ -185,6 +185,41 @@ def test_bad_state_file_exits_2(capsys):
     assert "error" in err
 
 
+_STATE = json.loads(pl.state_to_json(pl.css_state(pl.CssParams(1.0, 0), pl.ModeWindow.symmetric(8))))
+
+
+@pytest.mark.parametrize(
+    "command, option, content",
+    [
+        # the css artifact wraps the state under "state"
+        ("moments", "--state", json.dumps({"state": _STATE, "moments": {}})),
+        ("moments", "--state", json.dumps({"window": _STATE["window"]})),
+        ("moments", "--state", json.dumps({**_STATE, "coeffs": [1.0] * 17})),
+        ("moments", "--state", json.dumps({**_STATE, "coeffs": [["a", "b"]] * 17})),
+        ("relations", "--f-table", "deltaPhiP,f,converged\n"),
+        ("relations", "--f-table", "deltaPhiP,f,converged\n0.5,1.0\n"),
+        ("phase-min", "--modulus-file", json.dumps({"samples": [1.0, 2.0]})),
+        ("phase-min", "--modulus-file", "[]"),
+    ],
+    ids=[
+        "css-artifact", "no-coeffs", "coeffs-not-pairs", "coeffs-strings",
+        "f-table-header-only", "f-table-short-row", "modulus-object", "modulus-empty",
+    ],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, command, option, content):
+    path = tmp_path / "input"
+    path.write_text(content)
+    (tmp_path / "state.json").write_text(json.dumps(_STATE))
+    argv = {
+        "moments": ["moments"],
+        "relations": ["relations", "--state", str(tmp_path / "state.json")],
+        "phase-min": ["phase-min", "--winding", "1"],
+    }[command]
+    code, _, err = run(capsys, *argv, option, str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -174,3 +174,15 @@ def test_matrix_csv_dump():
     rows = {tuple(ln.split(",")[:2]) for ln in lines[2:]}
     assert ("-1", "0") in rows and ("0", "1") in rows
     assert len(lines) == 2 + 4  # four nonzero entries at M = 1
+    # the sine stencil: +i/2 above the diagonal, -i/2 below, and a plain
+    # zero (never "-0") in the real column
+    buf = io.StringIO()
+    pl.write_matrix_csv(pl.build(pl.OperatorId.SIN_PHI, SYM(1)), buf)
+    rows = [ln.split(",") for ln in buf.getvalue().strip().split("\n")[2:]]
+    assert {(i, j): (re, im) for i, j, re, im in rows} == {
+        ("-1", "0"): ("0", "0.5"),
+        ("0", "1"): ("0", "0.5"),
+        ("0", "-1"): ("0", "-0.5"),
+        ("1", "0"): ("0", "-0.5"),
+    }
+    assert "-0" not in {field for row in rows for field in row}

@@ -123,11 +123,16 @@ def test_banded_kernel_singular_and_tiny_pivots():
 
 @pytest.mark.parametrize(
     "family, alpha",
-    [("circle", 0.0), ("circle", 0.3), ("circle", 2.0), ("oscillator", 0.5), ("oscillator", 3.0)],
+    [
+        ("circle", 0.0), ("circle", 0.3), ("circle", 2.0),
+        ("oscillator", 0.5), ("oscillator", 3.0), ("oscillator", 5.0),
+    ],
 )
 def test_batched_kernel_matches_serial_oracle(family, alpha):
     # every sweep point and every QZ eigenvalue of the pencil in one batch,
-    # against one serial inverse iteration per shift
+    # against one serial inverse iteration per shift; at oscillator 5.0 some
+    # sweep points certify at working precision, so the certificate is
+    # checked right at its threshold
     import packetlab.pencil as pp
 
     problem = pp._family_problem(family, alpha, 0.0, 64)
@@ -148,7 +153,7 @@ def test_batched_kernel_matches_serial_oracle(family, alpha):
         local = np.linalg.norm(Aef @ q.vector) + S * np.linalg.norm(Bef @ q.vector)
         if q.sigma <= pp.SWEEP_RTOL * local:
             certified.append(S)
-    swept, _ = pp._sweep_pairs(problem, a, b)
+    swept, _ = pp._sweep_pairs(a, b)
     assert list(swept.imag) == certified
     assert (len(certified) == pp.SWEEP_POINTS) == (family == "circle" and alpha == round(alpha))
 
@@ -195,15 +200,6 @@ def test_circle_flags_independent_of_truncation():
     for M in (64, 128, 512):
         scan = pl.quantization_scan("circle", alphas, M=M)
         assert list(scan.flagged_alphas()) == [-2.0, -1.0, 0.0, 1.0, 2.0]
-
-
-@pytest.mark.parametrize("family", [pl.circle_problem, pl.oscillator_problem])
-def test_closed_form_b_norm(family):
-    for M in (8, 64, 128):
-        for beta in (0.0, 0.3, -0.7):
-            problem = family(0.5, beta, M)
-            dense = np.linalg.norm(shifted(problem)[1], 2)
-            assert problem.b_norm() == pytest.approx(dense, rel=1e-14)
 
 
 def test_real_qz_matches_complex_qz():
