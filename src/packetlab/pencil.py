@@ -26,7 +26,11 @@ stencils), and the solver works on that structure alone:
   tridiagonals are stacked into one block-diagonal tridiagonal with zero
   couplings, so one ?gttrf call factors every shift, two ?gttrs calls per
   step serve every shift still iterating, and each block gets the same LU,
-  steps and result as a separate iteration would.
+  steps and result as a separate iteration would.  A shift whose T(lambda)
+  has no imaginary part runs in real arithmetic (dgttrf/dgttrs, real
+  vectors), every other one in complex (zgttrf/zgttrs).  On the sine
+  pencils at beta = 0 that is every point of the imaginary-axis sweep:
+  -iS (+-i/2) = -+S/2 off the diagonal, and the diagonal is A - alpha.
 * The imaginary-axis sweep.  For a grid of S values the same kernel extracts
   the smallest singular pair (sigma, v) of T(iS) and certifies (iS, v) as an
   eigenpair whenever that residual is at working precision,
@@ -239,10 +243,15 @@ def _tri_matvec(bands: Bands, v: np.ndarray) -> np.ndarray:
 
 def _norms(x: np.ndarray) -> np.ndarray:
     """The 2-norm of each row of x, as np.linalg.norm computes it for one
-    vector (a dot product each of the real and the imaginary part), so that
-    a block's result does not depend on the batch it is in."""
-    re, im = x.real[:, None, :], x.imag[:, None, :]
-    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+    vector (a dot product of the real part, plus one of the imaginary part
+    when x is complex), so that a block's result does not depend on the
+    batch it is in."""
+    re = x.real[:, None, :]
+    sq = re @ re.transpose(0, 2, 1)
+    if np.iscomplexobj(x):
+        im = x.imag[:, None, :]
+        sq += im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq[:, 0, 0])
 
 
 def _unit_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +271,8 @@ def _unit_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> list[np.ndarray]:
     """Partial-pivoting LU (?gttrf) of a stack of tridiagonal blocks, one per
-    row of the (k, d-1), (k, d), (k, d-1) bands.
+    row of the (k, d-1), (k, d), (k, d-1) bands, in the bands' arithmetic:
+    dgttrf for float64 bands, zgttrf for complex128.
 
     The blocks are factored as one block-diagonal tridiagonal with zero
     couplings.  Where a coupling is zero ?gttrf neither pivots across it nor
@@ -271,15 +281,16 @@ def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> list[np.ndarr
     of (dl, d, du, du2, pivot offset), each padded to length d with the
     zeros that couple it to the next block.
     """
-    from scipy.linalg.lapack import zgttrf
+    from scipy.linalg import get_lapack_funcs
 
+    gttrf = get_lapack_funcs("gttrf", (main,))
     k, d = main.shape
     n = k * d
-    dl, dd, du, du2 = (np.zeros((k, d), dtype=complex) for _ in range(4))
+    dl, dd, du, du2 = (np.zeros((k, d), dtype=main.dtype) for _ in range(4))
     dl[:, :-1], dd[:], du[:, :-1] = sub, main, sup
     # ?gttrf factors dl, dd and du in place
-    *_, fill, piv, _ = zgttrf(dl.ravel()[:-1], dd.ravel(), du.ravel()[:-1],
-                              overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    *_, fill, piv, _ = gttrf(dl.ravel()[:-1], dd.ravel(), du.ravel()[:-1],
+                             overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     du2.ravel()[: n - 2] = fill
     piv = (piv - np.arange(1, n + 1, dtype=piv.dtype)).reshape(k, d)  # relative to the row
     return [dl, dd, du, du2, piv]
@@ -289,18 +300,21 @@ def _solve(lu: list[np.ndarray], rows: np.ndarray, v: np.ndarray) -> tuple[np.nd
     """y = (T^H T)^{-1} v for the blocks ``rows`` of the factors ``lu``
     (:func:`_factor`), one start vector per row of v.
 
-    The blocks are solved as one system (?gttrs with T^H, then with T), and
-    each row is scaled to unit norm after each solve, so a T singular to
-    working precision cannot overflow.  Returns (y, ok); ``ok`` is False for
-    a block whose solve overflowed or vanished, which includes every block
-    with an exact zero on its U diagonal (?gttrs divides by it).  A zero
-    coupling times a non-finite entry is NaN, so one such block spoils the
-    others: the step is then taken again block by block.
+    The blocks are solved as one system (?gttrs with T^H, then with T, in
+    the factors' arithmetic; for a real T, dgttrs reads trans="C" as T^T,
+    which is T^H), and each row is scaled to unit norm after each solve, so
+    a T singular to working precision cannot overflow.  Returns (y, ok);
+    ``ok`` is False for a block whose solve overflowed or vanished, which
+    includes every block with an exact zero on its U diagonal (?gttrs
+    divides by it).  A zero coupling times a non-finite entry is NaN, so one
+    such block spoils the others: the step is then taken again block by
+    block.
     """
-    from scipy.linalg.lapack import zgttrs
+    from scipy.linalg import get_lapack_funcs
 
     # rows are sorted and distinct, so as many rows as blocks is all of them
     dl, dd, du, du2, piv = lu if rows.size == lu[1].shape[0] else (x[rows] for x in lu)
+    gttrs = get_lapack_funcs("gttrs", (dd,))
     k, d = dd.shape
     n = k * d
     f = (dl.ravel()[:-1], dd.ravel(), du.ravel()[:-1], du2.ravel()[: n - 2],
@@ -308,7 +322,7 @@ def _solve(lu: list[np.ndarray], rows: np.ndarray, v: np.ndarray) -> tuple[np.nd
     y = v
     for trans in ("C", "N"):
         # v is kept for the block-by-block retry; z is overwritten
-        y = zgttrs(*f, y.ravel(), trans=trans, overwrite_b=y is not v)[0]
+        y = gttrs(*f, y.ravel(), trans=trans, overwrite_b=y is not v)[0]
         y, ok = _unit_rows(y.reshape(k, d))
         if not ok.all():
             break
@@ -322,7 +336,9 @@ def _solve(lu: list[np.ndarray], rows: np.ndarray, v: np.ndarray) -> tuple[np.nd
 
 def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair]:
     """Inverse iteration v <- (T^H T)^{-1} v from unit v on a stack of
-    tridiagonals, one per row of the (k, d-1), (k, d), (k, d-1) bands T.
+    tridiagonals, one per row of the (k, d-1), (k, d), (k, d-1) bands T, in
+    the bands' arithmetic; real bands start from the real part of v,
+    normalized.
 
     Every block is factored once (:func:`_factor`), and each step solves
     T^H z = v and then T y = z for all blocks still iterating at once
@@ -337,6 +353,8 @@ def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair
     """
     sub, main, sup = T
     k, d = main.shape
+    if not np.iscomplexobj(main):
+        v = v.real / np.linalg.norm(v.real)
     shifted = main.copy()  # the diagonal the LU is taken of, nudged where a solve failed
     lu = _factor(sub, shifted, sup)
     stale = np.zeros(k, dtype=bool)  # nudged, to be refactored
@@ -389,11 +407,13 @@ def smallest_singular_pair(T: Bands) -> SingularPair:
     its right singular vector.
 
     Banded inverse iteration from a seeded random start, O(n) per step and
-    one LU factorization in all.  The returned pair always satisfies
+    one LU factorization in all, in real arithmetic when no band is
+    complex.  The returned pair always satisfies
     ||T v|| = sigma exactly, so sigma is a certified eigenpair residual;
     ``converged`` is False when the step cap ran out first.
     """
-    sub, main, sup = (np.atleast_2d(np.asarray(x, dtype=complex)) for x in T)
+    dtype = complex if any(np.iscomplexobj(x) for x in T) else float
+    sub, main, sup = (np.atleast_2d(np.asarray(x, dtype=dtype)) for x in T)
     return _inverse_iteration((sub, main, sup), _start_vector(main.shape[1]))[0]
 
 
@@ -406,13 +426,30 @@ def _pencil_pairs(a: np.ndarray, b: Bands, lams: np.ndarray, v: np.ndarray) -> l
     """Smallest singular pair of T(lambda) = (A - alpha) - lambda (B - beta)
     for every lambda in ``lams``, by batched inverse iteration from unit v
     (_BATCH shifts at a time) that stops each lambda as soon as its residual
-    reaches roundoff of the local scale."""
-    pairs = []
-    for i in range(0, len(lams), _BATCH):
-        chunk = np.asarray(lams[i : i + _BATCH], dtype=complex)
+    reaches roundoff of the local scale.
+
+    A shift whose three bands of T(lambda) have no imaginary part runs in
+    real arithmetic, from the real part of v: on a sine pencil at beta = 0,
+    T(iS) has the off-diagonals -iS (+-i/2) = -+S/2 and the diagonal
+    A - alpha.  Every other shift runs in complex arithmetic.  The choice is
+    made per shift and each group is iterated on its own, so a shift's pair
+    does not depend on the other shifts of the call.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    pairs = [None] * lams.size
+    for i in range(0, lams.size, _BATCH):
+        chunk = lams[i : i + _BATCH]
         lam = chunk[:, None]
         T = (-lam * b[0], a - lam * b[1], -lam * b[2])
-        pairs += _inverse_iteration(T, v, lambda rows, V: _local_scale(a, b, chunk[rows], V))
+        real = ~np.logical_or.reduce([x.imag.any(axis=1) for x in T])
+        for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
+            if rows.size == 0:
+                continue
+            Tr = tuple(x[rows].real if real[rows[0]] else x[rows] for x in T)
+            lr = chunk[rows]
+            found = _inverse_iteration(Tr, v, lambda r, V: _local_scale(a, b, lr[r], V))
+            for j, p in zip(rows, found):
+                pairs[i + j] = p
     return pairs
 
 

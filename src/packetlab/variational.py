@@ -113,6 +113,8 @@ class ModulusProfile:
 def modulus_profile(values) -> ModulusProfile:
     """Normalize samples so that integral r^2 dphi = 1."""
     v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size < 8:
+        raise ValueError("need a 1-d modulus vector of length >= 8")
     power = TWO_PI / v.size * float(np.sum(v**2))
     if power <= 0.0 or not np.isfinite(power):
         raise ValueError("modulus has no power")

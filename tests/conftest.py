@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.optimize import brentq, linprog, minimize
-from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.special import iv
 
 import packetlab as pl
@@ -218,7 +217,8 @@ def serial_inverse_iteration(T, v: np.ndarray, local=None) -> SingularPair:
 
     The kernel the batched one replaced, kept as its oracle: T is factored
     once (?gttrf) and each step solves T^H z = v and then T y = z (?gttrs),
-    rescaling z in between; an exactly singular factor, or a solve that
+    rescaling z in between, in T's arithmetic (dgttrf/dgttrs for real T,
+    zgttrf/zgttrs for complex T); an exactly singular factor, or a solve that
     overflows anyway, shifts the diagonal by roundoff and refactors (an LU
     nudge, which uses up a step).  It stops when sigma = ||T v|| changes by
     at most 1e-6 relative after the fourth step or, given ``local`` (a
@@ -239,14 +239,15 @@ def serial_inverse_iteration(T, v: np.ndarray, local=None) -> SingularPair:
         return y
 
     sub, main, sup = T
+    gttrf, gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (main,))
     lu = None
     nudges = 0
     sigma = math.inf
     for it in range(_MAX_STEPS):
         if lu is None:
-            *lu, info = zgttrf(sub, main, sup)
-        z = unit(zgttrs(*lu, v, trans="C")[0]) if info == 0 else None
-        y = unit(zgttrs(*lu, z)[0]) if z is not None else None
+            *lu, info = gttrf(sub, main, sup)
+        z = unit(gttrs(*lu, v, trans="C")[0]) if info == 0 else None
+        y = unit(gttrs(*lu, z)[0]) if z is not None else None
         if y is None:
             main = main + (1e-300 + 1e-16 * np.max(np.abs(main)))
             lu = None
@@ -262,10 +263,21 @@ def serial_inverse_iteration(T, v: np.ndarray, local=None) -> SingularPair:
     return SingularPair(float(np.linalg.norm(matvec(v))), v, _MAX_STEPS, nudges, False)
 
 
-def serial_pencil_pair(a: np.ndarray, b, lam: complex, v: np.ndarray) -> SingularPair:
+def serial_pencil_pair(
+    a: np.ndarray, b, lam: complex, v: np.ndarray, *, in_complex: bool = False
+) -> SingularPair:
     """:func:`serial_inverse_iteration` on T(lambda) = (A - alpha) - lambda (B - beta),
-    stopped at roundoff of ||(A - alpha)v|| + |lambda| ||(B - beta)v||."""
+    stopped at roundoff of ||(A - alpha)v|| + |lambda| ||(B - beta)v||.
+
+    A T(lambda) with no imaginary part (lambda = iS on a sine pencil at
+    beta = 0) is iterated in real arithmetic from the real part of v,
+    normalized, as the batched kernel does; ``in_complex`` iterates every
+    T(lambda) in complex arithmetic from v, the reference the real path is
+    checked against."""
     T = (-lam * b[0], a - lam * b[1], -lam * b[2])
+    if not in_complex and not any(np.any(x.imag) for x in T):
+        T = tuple(x.real for x in T)
+        v = v.real / np.linalg.norm(v.real)
 
     def local(u):
         bu = b[1] * u
@@ -276,14 +288,14 @@ def serial_pencil_pair(a: np.ndarray, b, lam: complex, v: np.ndarray) -> Singula
     return serial_inverse_iteration(T, v, local)
 
 
-def quantization_scan_qz(family: str, alphas, M: int) -> QuantizationScan:
+def quantization_scan_qz(family: str, alphas, M: int, beta: float = 0.0) -> QuantizationScan:
     """Quantization scan whose every point is classified by the full
     :func:`packetlab.solve_pencil` (real QZ plus the axis sweep), the way
     circle points were before they ran the sweep alone."""
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     dist, floor, flagged = [], [], []
     for alpha in alphas:
-        problem = _family_problem(family, alpha, 0.0, M)
+        problem = _family_problem(family, alpha, beta, M)
         sol = pl.solve_pencil(problem)
         cand = sol.candidate
         dist.append(float(np.min(sol.axis_distances[cand])) if np.any(cand) else math.inf)

@@ -184,6 +184,103 @@ def test_batched_kernel_isolates_singular_blocks():
         assert np.array_equal(p.vector, q.vector)
 
 
+@pytest.mark.parametrize(
+    "family, alpha",
+    [
+        ("circle", 0.3), ("circle", 1.0), ("circle", 2.0),
+        ("oscillator", 0.7), ("oscillator", 4.0), ("oscillator", 5.0),
+    ],
+)
+def test_real_sweep_matches_complex_oracle(family, alpha):
+    # T(iS) of a sine pencil at beta = 0 is real, so the sweep runs in real
+    # arithmetic; the complex serial iteration must certify the same S set,
+    # and where it certifies, the two agree to roundoff.  Measured at M = 64:
+    # sigma to <= 1.5e-16 * local and vectors, up to a global phase, to
+    # <= 3.5e-16; the bounds leave a margin of about 7x and 30x.
+    import packetlab.pencil as pp
+
+    problem = pp._family_problem(family, alpha, 0.0, 64)
+    a, b = problem.bands()
+    v0 = pp._start_vector(a.size)
+    s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)
+    real = pp._pencil_pairs(a, b, 1j * s, v0)
+    assert all(p.vector.dtype == np.float64 for p in real)
+    Aef, Bef = shifted(problem)
+    certified = []
+    for S, p in zip(s, real):
+        q = serial_pencil_pair(a, b, 1j * S, v0, in_complex=True)
+        local = np.linalg.norm(Aef @ q.vector) + S * np.linalg.norm(Bef @ q.vector)
+        if q.sigma <= pp.SWEEP_RTOL * local:
+            certified.append(S)
+            assert abs(p.sigma - q.sigma) <= 1e-15 * local
+            assert np.max(np.abs(align_phase(q.vector, p.vector) - p.vector)) <= 1e-14
+    swept, _ = pp._sweep_pairs(a, b)
+    assert list(swept.imag) == certified
+    assert (len(certified) == pp.SWEEP_POINTS) == (family == "circle" and alpha == round(alpha))
+
+
+@pytest.mark.parametrize("family, alpha", [("circle", 0.3), ("circle", 1.0), ("oscillator", 0.5)])
+def test_pencil_pairs_independent_of_batch(family, alpha):
+    # axis shifts (real arithmetic) and QZ shifts (complex) in one call: each
+    # shift comes out bit for bit as a call with that shift alone gives it
+    import packetlab.pencil as pp
+
+    problem = pp._family_problem(family, alpha, 0.0, 32)
+    a, b = problem.bands()
+    v0 = pp._start_vector(a.size)
+    qz = pp._eigenvalues(problem, a, b)
+    s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)[::8]
+    lams = np.concatenate([qz[:6], 1j * s, qz[6:12]])
+    mixed = pp._pencil_pairs(a, b, lams, v0)
+    for lam, p in zip(lams, mixed):
+        (q,) = pp._pencil_pairs(a, b, [lam], v0)
+        assert (p.steps, p.nudges, p.converged, p.sigma) == (q.steps, q.nudges, q.converged, q.sigma)
+        assert p.vector.dtype == q.vector.dtype
+        assert np.array_equal(p.vector, q.vector)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_real_kernel_matches_dense_svd(seed):
+    # a real tridiagonal with real spectrum (sub * sup > 0, so it is similar
+    # to a symmetric one) shifted next to one of its eigenvalues; real bands
+    # run the real kernel and return a real vector.  A real spectrum can
+    # cluster, so the shift is small enough for the smallest singular value
+    # to stand apart; dense SVD resolves that value to roundoff of ||T||,
+    # not of itself (measured over 60 seeds: 2.5e-16 ||T||, vectors to 8e-16).
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(8, 80))
+    sub = rng.standard_normal(d - 1)
+    sup = sub * rng.uniform(0.5, 2.0, d - 1)
+    main = rng.standard_normal(d)
+    lam = rng.choice(np.linalg.eigvals(tridiagonal((sub, main, sup))).real)
+    T = (sub, main - lam - 1e-4 * rng.choice([-1.0, 1.0]), sup)
+    dense = tridiagonal(T)
+    sigma_ref, v_ref = dense_smallest_singular_pair(dense)
+    pair = pl.smallest_singular_pair(T)
+    assert pair.vector.dtype == np.float64
+    assert pair.converged and pair.nudges == 0
+    assert abs(pair.sigma - sigma_ref) <= 1e-14 * np.linalg.norm(dense, 2)
+    assert abs(np.dot(pair.vector, v_ref)) >= 1 - 1e-10
+    assert pair.sigma == pytest.approx(np.linalg.norm(dense @ pair.vector), rel=1e-12)
+
+
+def test_nonzero_beta_keeps_complex_path():
+    # at beta != 0 the diagonal of T(iS) carries -iS(-beta), so the sweep
+    # stays complex, and the sweep-only circle scan still writes the bytes of
+    # the full QZ-plus-sweep classification
+    import packetlab.pencil as pp
+    from packetlab.pencil import scan_to_csv_rows
+
+    a, b = pp.circle_problem(1.0, beta=0.2, M=32).bands()
+    pairs = pp._pencil_pairs(a, b, [0.5j, 2j], pp._start_vector(a.size))
+    assert all(p.vector.dtype == np.complex128 for p in pairs)
+    alphas = [k / 4 for k in range(-8, 9)]
+    for M in (32, 64):
+        scan = pl.quantization_scan("circle", alphas, beta=0.2, M=M)
+        ref = quantization_scan_qz("circle", alphas, M, beta=0.2)
+        assert scan_to_csv_rows(scan) == scan_to_csv_rows(ref)
+
+
 def test_circle_scan_matches_qz_oracle():
     # QZ decides nothing on the circle: the sweep-only scan writes the same
     # CSV bytes as classifying every point with QZ plus the sweep

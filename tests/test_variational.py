@@ -47,6 +47,14 @@ def test_modulus_profile_normalization():
         pl.modulus_profile(np.zeros(G))
 
 
+@pytest.mark.parametrize("values", [[], np.ones(4), np.ones((2, 8))])
+def test_modulus_profile_rejects_bad_shape(values):
+    # the shape is checked before the power is, so an empty array is a
+    # ValueError, not a division by its zero size
+    with pytest.raises(ValueError, match="need a 1-d modulus vector of length >= 8"):
+        pl.modulus_profile(values)
+
+
 def test_delta_l_pure_winding():
     r = pl.uniform_modulus(G)
     theta = pl.linear_phase(G, 2)
