@@ -43,9 +43,11 @@ print("The one-sided shift phase operators admit isolated exact solutions at")
 print("fractional <N>: Bessel packets c_m ~ I_{m-<N>}(S) at the roots of")
 print("I_{-1-<N>}(S), one branch in every interval (2k, 2k+1) that pinches off")
 print("exactly at the integers, and none at integer <N>, which is therefore not")
-print("flagged.  Integer <N> >= 4 would still be flagged, at working precision")
-print("only: the defect of their truncated small-S families falls below double")
-print("precision.  Isolated solutions are consistent with the compactness")
+print("flagged.  Each branch shows up as a sign change of det T(iS) between")
+print("sweep points and is refined on the imaginary axis itself, so a flagged")
+print("distance is exactly 0.  Integer <N> >= 4 would still be flagged, at working")
+print("precision only: the defect of their truncated small-S families falls below")
+print("double precision.  Isolated solutions are consistent with the compactness")
 print("argument, which forbids dialing the squeezing continuously off the")
 print("spectrum, but they mean the flag pattern of this family differs from the")
 print("circle one.")

@@ -220,7 +220,10 @@ def _cmd_scan(args) -> int:
         )
     # the endpoints first, so an out-of-range grid is never built
     pencil_mod._check_scan(args.family, [args.alpha_min, args.alpha_max], args.truncation)
-    n = int(math.floor((args.alpha_max - args.alpha_min) / args.alpha_step + 0.5)) + 1
+    steps = (args.alpha_max - args.alpha_min) / args.alpha_step
+    if not math.isfinite(steps):
+        raise ValueError(f"--alpha-step {args.alpha_step} is too small for a finite grid")
+    n = int(math.floor(steps + 0.5)) + 1
     alphas = args.alpha_min + args.alpha_step * np.arange(n)
     workers = int(os.environ.get("PACKETLAB_THREADS", "1"))
     scan = pencil_mod.quantization_scan(

@@ -30,7 +30,8 @@ class TailMassError(PacketLabError):
 
 
 class SingularPencilError(PacketLabError):
-    """Generalized eigensolve failed; perturbing beta usually resolves this."""
+    """An eigenvalue that a sign change of det T(iS) brackets on the
+    imaginary axis did not meet the sweep's residual certificate."""
 
 
 class OutOfRangeError(PacketLabError):

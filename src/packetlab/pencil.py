@@ -8,67 +8,65 @@ In a truncated basis that is the generalized eigenproblem
 
 and the physical solutions are the eigenpairs whose eigenvalue is purely
 imaginary, lambda = i S with S > 0: for such eigenvalues the Hermitian
-quadratic forms force <A> = alpha and <B> = beta automatically.
+quadratic forms force <A> = alpha and <B> = beta automatically.  The solver
+therefore looks on the imaginary axis only, and works on the structure of
+every pencil here, a diagonal A against a tridiagonal B (the cos/sin
+stencils):
 
-Every pencil here pairs a diagonal A with a tridiagonal B (the cos/sin
-stencils), and the solver works on that structure alone:
-
-* Eigenvalues.  The exact unitary similarity D = diag(i^k) turns the sine
-  operators into the real symmetric tridiagonal -C, and the cosine operators
-  already are real, so real QZ on the pair (diag(A - alpha), D^H (B - beta) D)
-  returns every eigenvalue without eigenvectors.
-* Eigenvectors and residuals.  For each finite eigenvalue the vector is the
-  smallest right singular vector of the tridiagonal
-  T(lambda) = (A - alpha) - lambda (B - beta), found by inverse iteration on
-  (T^H T)^{-1} with one LU factorization of T per shift (LAPACK ?gttrf, then
-  ?gttrs with T^H and with T).  The residual is ||T v||, computed as a banded
-  matrix-vector product.  All shifts of one pencil iterate together: their
-  tridiagonals are stacked into one block-diagonal tridiagonal with zero
-  couplings, so one ?gttrf call factors every shift, two ?gttrs calls per
-  step serve every shift still iterating, and each block gets the same LU,
-  steps and result as a separate iteration would.  A shift whose T(lambda)
-  has no imaginary part runs in real arithmetic (dgttrf/dgttrs, real
-  vectors), every other one in complex (zgttrf/zgttrs).  On the sine
-  pencils at beta = 0 that is every point of the imaginary-axis sweep:
-  -iS (+-i/2) = -+S/2 off the diagonal, and the diagonal is A - alpha.
-* The imaginary-axis sweep.  For a grid of S values the same kernel extracts
-  the smallest singular pair (sigma, v) of T(iS) and certifies (iS, v) as an
-  eigenpair whenever that residual is at working precision,
+* The kernel.  The smallest singular pair (sigma, v) of the tridiagonal
+  T(lambda) = (A - alpha) - lambda (B - beta) comes from inverse iteration
+  on (T^H T)^{-1} with one LU factorization of T per shift (LAPACK ?gttrf,
+  then ?gttrs with T^H and with T); sigma = ||T v|| is a banded product.
+  All shifts of one pencil iterate together: their tridiagonals are stacked
+  into one block-diagonal tridiagonal with zero couplings, so one ?gttrf
+  call factors every shift, two ?gttrs calls per step serve every shift
+  still iterating, and each block gets the same LU, steps and result as a
+  separate iteration would.  A shift whose T(lambda) has no imaginary part
+  runs in real arithmetic (dgttrf/dgttrs, real vectors), every other one in
+  complex (zgttrf/zgttrs).  On the sine pencils at beta = 0 that is every
+  point of the imaginary axis: -iS (+-i/2) = -+S/2 off the diagonal, and
+  the diagonal is A - alpha.
+* The imaginary-axis sweep.  For a grid of S values the kernel certifies
+  (iS, v) as an eigenpair whenever its residual is at working precision,
   sigma <= SWEEP_RTOL * (||(A - alpha)v|| + S ||(B - beta)v||).  The scale is
   local to v and does not depend on the truncation M; a global scale such as
   max|diag(A - alpha)| = M - alpha for the number operator would let the
   certificate loosen as M grows.
+* The axis roots.  Where T(iS) is real, det T(iS) is a real function of S,
+  and its sign comes free with each grid point's LU:
+  prod sign(U_ii) * (-1)^(row interchanges).  Two adjacent grid points that
+  the sweep does not certify and whose signs differ bracket an isolated
+  eigenvalue (Wilkinson, The Algebraic Eigenvalue Problem, ch. 5).  Illinois
+  steps on sign * sigma / local, one single-shift inverse iteration each,
+  refine it until sigma is at roundoff, and it is kept under the sweep's
+  own certificate.  A certified point never ends a bracket: its determinant
+  is at roundoff, so its sign is too.  A bracket that does not certify is a
+  SingularPencilError, never a silent drop.  A complex T(iS) (beta != 0,
+  the cosine pencils) has no sign, and there the sweep runs alone.
 
-The sweep matters because, whenever alpha sits in the point spectrum of A,
-the truncated pencil inherits a whole segment of nearly exact imaginary
-eigenvalues (the squeezing can be dialed continuously); QZ collapses that
-segment to arbitrary rounding-determined points, while the sweep certifies
-each grid value directly and deterministically.  Which rounding-determined
-points QZ returns depends on the arithmetic (complex and real QZ return
-different ones), so on such a segment only the sweep's certificates are
-reproducible.  Away from the spectrum of A the smallest singular value stays
-orders of magnitude above the tolerance, so the sweep certifies nothing;
-that asymmetry is the quantization of the mean value demonstrated by
-:func:`quantization_scan`.  On the circle QZ decides nothing: QZ
-candidates appear only where the sweep already certifies points on the
-axis, so a circle scan point runs the sweep alone, and only
-:func:`solve_pencil` (and the ``pencil`` command) runs QZ for both
-families.
+When alpha sits in the point spectrum of A, the truncated pencil has a
+whole segment of nearly exact imaginary eigenvalues (the squeezing can be
+dialed continuously), and the sweep certifies each grid value on it
+directly and deterministically.  Away from the spectrum of A the smallest
+singular value stays orders of magnitude above the tolerance, and on the
+circle det T(iS) keeps its sign, so nothing certifies; that asymmetry is
+the quantization of the mean value demonstrated by
+:func:`quantization_scan`.
 
 The bounded-below number/phase family differs.  Its exact squeezed states are
 isolated Bessel packets c_m ~ I_{m-alpha}(S) at the roots of I_{-1-alpha}(S),
-one branch in every interval (2k, 2k+1) of <N> and none at an integer, and QZ
-finds them.  At integer <N> = n the full-line packet cut at N = 0 leaves a
-boundary defect sigma that is independent of M and falls super-exponentially
-with n: 2.7e-13 at n = 3 and S = 0.1, which the sweep resolves and rejects
-(1.9 times the threshold), but 3.5e-17 at n = 4, below double precision.  So
-n = 3 is the last integer whose defect can be resolved, and integer
-<N> >= 4 still certify small-S families: no floating-point certificate can
-tell them from exact states.
+one branch in every interval (2k, 2k+1) of <N> and none at an integer, and the
+determinant roots find them.  At integer <N> = n the full-line packet cut at
+N = 0 leaves a boundary defect sigma that is independent of M and falls
+super-exponentially with n: 2.7e-13 at n = 3 and S = 0.1, which the sweep
+resolves and rejects (1.9 times the threshold), but 3.5e-17 at n = 4, below
+double precision.  So n = 3 is the last integer whose defect can be resolved,
+and integer <N> >= 4 still certify small-S families: no floating-point
+certificate can tell them from exact states.
 
 Eigenvalue classification is reported, never silently applied: every returned
-pair carries its residual, its distance |Re lambda| from the imaginary axis,
-the tail mass of its eigenvector and whether its inverse iteration converged.
+pair carries its residual, the tail mass of its eigenvector and whether its
+inverse iteration converged.
 """
 
 from __future__ import annotations
@@ -100,12 +98,10 @@ SWEEP_POINTS = 80
 
 _A_IDS = {OperatorId.ANGULAR_MOMENTUM, OperatorId.NUMBER}
 _B_IDS = {OperatorId.SIN_PHI, OperatorId.COS_PHI, OperatorId.PHASE_SIN, OperatorId.PHASE_COS}
-_SINE_IDS = {OperatorId.SIN_PHI, OperatorId.PHASE_SIN}
-# i^k by table: 1j**k leaves roundoff in the real part of odd powers.
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
-# Inverse iteration on T(lambda) (refinement, sweep, eigenvector_at) stops once
-# ||T v|| is this many units of roundoff of the local scale
-# ||(A - alpha)v|| + |lambda| ||(B - beta)v||.
+# Inverse iteration on T(lambda) (sweep, eigenvector_at) and the refinement of
+# an axis root both stop once ||T v|| is this many units of roundoff of the
+# local scale ||(A - alpha)v|| + |lambda| ||(B - beta)v||, or after
+# _MAX_STEPS steps.
 _REFINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 _MAX_STEPS = 30
 # Shifts per batched inverse iteration; bounds its memory to O(_BATCH * d).
@@ -193,14 +189,14 @@ def _family_problem(family: str, alpha: float, beta: float, M: int) -> PencilPro
 
 @dataclass(frozen=True)
 class PencilSolution:
-    """Eigenpairs sorted by distance from the imaginary axis."""
+    """Certified eigenpairs on the imaginary axis, sorted by S = Im lambda."""
 
     problem: PencilProblem
-    eigenvalues: np.ndarray        # complex, sorted by |Re|
+    eigenvalues: np.ndarray        # i S, sorted by S
     vectors: np.ndarray            # unit columns matching eigenvalues
     residuals: np.ndarray          # ||(A-a)v - lambda (B-b)v||_2
     tail_masses: np.ndarray
-    swept: np.ndarray              # True where the pair came from the axis sweep
+    swept: np.ndarray              # True for a sweep grid certificate, False for a refined root
     candidate: np.ndarray          # bool: Im lambda in S_WINDOW, tail mass below TAIL_TOL
     physical: np.ndarray           # bool: a candidate on the imaginary axis
     converged: np.ndarray          # bool: the pair's inverse iteration converged
@@ -223,13 +219,14 @@ class PencilSolution:
 
 class SingularPair(NamedTuple):
     """Smallest singular value of a tridiagonal T, its right singular vector,
-    and how the inverse iteration that found them went."""
+    how the inverse iteration that found them went, and the sign of det T."""
 
     sigma: float          # ||T v||, exactly the returned vector's residual
     vector: np.ndarray    # unit
     steps: int            # iterations run, nudges included
     nudges: int           # diagonal shifts of an LU whose solve failed
     converged: bool       # a stopping rule was met before the step cap
+    sign: float = 0.0     # sign of det T off its first LU; 0 if T is complex or U singular
 
 
 def _tri_matvec(bands: Bands, v: np.ndarray) -> np.ndarray:
@@ -350,13 +347,19 @@ def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair
     or, given ``local`` (a function of block indices and their vectors
     bounding the size of the terms of T v), when sigma is at roundoff of
     local.  Each step iterates only the blocks that have not converged.
+
+    A real block's pair also carries the sign of its determinant, read off
+    its first LU: det T = prod U_ii * (-1)^(row interchanges).
     """
     sub, main, sup = T
     k, d = main.shape
-    if not np.iscomplexobj(main):
-        v = v.real / np.linalg.norm(v.real)
     shifted = main.copy()  # the diagonal the LU is taken of, nudged where a solve failed
     lu = _factor(sub, shifted, sup)
+    sign = np.zeros(k)
+    if not np.iscomplexobj(main):
+        v = v.real / np.linalg.norm(v.real)
+        flips = np.count_nonzero(lu[1] < 0, axis=1) + np.count_nonzero(lu[4], axis=1)
+        sign = np.where(np.all(lu[1] != 0, axis=1), 1.0 - 2.0 * (flips % 2), 0.0)
     stale = np.zeros(k, dtype=bool)  # nudged, to be refactored
     V = np.tile(v, (k, 1))
     sigma = np.full(k, math.inf)
@@ -391,7 +394,8 @@ def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair
     live = np.flatnonzero(~converged)
     sigma[live] = _norms(_tri_matvec((sub[live], main[live], sup[live]), V[live]))
     return [
-        SingularPair(float(sigma[j]), V[j], int(steps[j]), int(nudges[j]), bool(converged[j]))
+        SingularPair(float(sigma[j]), V[j], int(steps[j]), int(nudges[j]), bool(converged[j]),
+                     float(sign[j]))
         for j in range(k)
     ]
 
@@ -453,33 +457,6 @@ def _pencil_pairs(a: np.ndarray, b: Bands, lams: np.ndarray, v: np.ndarray) -> l
     return pairs
 
 
-def _eigenvalues(problem: PencilProblem, a: np.ndarray, b: Bands) -> np.ndarray:
-    """Finite eigenvalues of the pencil by real QZ, without eigenvectors."""
-    import scipy.linalg as sla
-
-    sub, main, sup = b
-    if OperatorId(problem.B.id) in _SINE_IDS:
-        # D^H (B - beta) D with D = diag(i^k): (-1/2) off the diagonal, exactly
-        D = _I_POWERS[np.arange(a.size) % 4]
-        sub = D[1:].conj() * sub * D[:-1]
-        sup = D[:-1].conj() * sup * D[1:]
-    B_real = np.diag(main.real) + np.diag(sub.real, -1) + np.diag(sup.real, 1)
-    try:
-        w = sla.eig(np.diag(a), B_real, right=False)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise SingularPencilError(
-            f"QZ failed for alpha={problem.alpha}, beta={problem.beta}: {exc}; "
-            "try perturbing beta"
-        ) from exc
-    w = w[np.isfinite(w)]
-    if w.size == 0:
-        raise SingularPencilError(
-            f"pencil has no finite eigenvalues at alpha={problem.alpha}, "
-            f"beta={problem.beta}; try perturbing beta"
-        )
-    return w
-
-
 def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, float]:
     """Eigenvector of the pencil at the fixed eigenvalue lambda = i s.
 
@@ -492,96 +469,104 @@ def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, floa
     return AngularState(problem.window, pair.vector), pair.sigma
 
 
-Pairs = tuple[np.ndarray, list]  # eigenvalues and their SingularPairs
-_NO_PAIRS: Pairs = (np.array([], dtype=complex), [])
+def _refine_root(a: np.ndarray, b: Bands, v: np.ndarray, lo: float, hi: float,
+                 flo: float, fhi: float) -> tuple[float, SingularPair]:
+    """The axis eigenvalue iS in the bracket lo < S < hi, where
+    f = sign(det T(iS)) sigma / local has the opposite signs flo and fhi.
+
+    Illinois (regula falsi) steps on f, each one single-shift inverse
+    iteration, until sigma is at roundoff of local or the bracket is a few
+    ulps wide, at most _MAX_STEPS of them.  Returns the step with the least
+    sigma / local if it meets the sweep's certificate, and raises
+    SingularPencilError naming the bracket otherwise.
+    """
+    bracket, best, side = (lo, hi), (math.inf, lo, None), 0
+    for _ in range(_MAX_STEPS):
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        (p,) = _pencil_pairs(a, b, [1j * x], v)
+        rel = p.sigma / _local_scale(a, b, np.array([1j * x]), p.vector[None])[0]
+        best = min(best, (rel, x, p), key=lambda t: t[0])
+        if rel <= _REFINE_ROUNDOFF:
+            break
+        if p.sign * fhi > 0:  # x replaces hi; halve flo if hi was replaced last too
+            hi, fhi, flo, side = x, p.sign * rel, flo / 2 if side > 0 else flo, 1
+        else:
+            lo, flo, fhi, side = x, p.sign * rel, fhi / 2 if side < 0 else fhi, -1
+        if hi - lo <= 4 * np.spacing(hi):
+            break
+    if not best[0] <= SWEEP_RTOL:
+        raise SingularPencilError(
+            f"the sign change of det T(iS) in S = [{bracket[0]:.17g}, {bracket[1]:.17g}] "
+            f"did not certify: sigma/local = {best[0]:.2e} > SWEEP_RTOL = {SWEEP_RTOL}"
+        )
+    return best[1], best[2]
 
 
-def _qz_pairs(problem: PencilProblem, a: np.ndarray, b: Bands) -> Pairs:
-    """Every finite eigenvalue by real QZ, each with its inverse-iteration pair."""
-    w = _eigenvalues(problem, a, b)
-    return w, _pencil_pairs(a, b, w, _start_vector(a.size))
+def _sweep_pairs(a: np.ndarray, b: Bands) -> tuple[np.ndarray, list, np.ndarray]:
+    """The eigenpairs (iS, v) on the imaginary axis, and a mask that is True
+    for the grid certificates and False for the refined roots.
 
-
-def _sweep_pairs(a: np.ndarray, b: Bands) -> Pairs:
-    """The imaginary-axis sweep: (iS, v) for each of SWEEP_POINTS values S
-    across S_WINDOW whose smallest singular pair (sigma, v) of T(iS) satisfies
-    sigma <= SWEEP_RTOL * (||(A-alpha)v|| + S ||(B-beta)v||), the local scale
-    computed for every point."""
+    The grid certificates are those of SWEEP_POINTS values S across S_WINDOW
+    whose smallest singular pair (sigma, v) of T(iS) satisfies
+    sigma <= SWEEP_RTOL * local, local = ||(A-alpha)v|| + S ||(B-beta)v||.
+    Two adjacent uncertified points at which sign(det T(iS)) sigma / local
+    has opposite signs (only a real T(iS) has a sign) bracket a root for
+    :func:`_refine_root`.
+    """
     s = np.linspace(S_WINDOW[0], S_WINDOW[1], SWEEP_POINTS)
-    pairs = _pencil_pairs(a, b, 1j * s, _start_vector(a.size))
+    v = _start_vector(a.size)
+    pairs = _pencil_pairs(a, b, 1j * s, v)
     sigma = np.array([p.sigma for p in pairs])
-    V = np.array([p.vector for p in pairs], dtype=complex)
-    certified = np.flatnonzero(sigma <= SWEEP_RTOL * _local_scale(a, b, 1j * s, V))
-    return 1j * s[certified], [pairs[j] for j in certified]
+    local = _local_scale(a, b, 1j * s, np.array([p.vector for p in pairs], dtype=complex))
+    certified = sigma <= SWEEP_RTOL * local
+    f = np.array([p.sign for p in pairs]) * sigma / local
+    ends = np.flatnonzero(~certified[:-1] & ~certified[1:] & (f[:-1] * f[1:] < 0))
+    roots = [_refine_root(a, b, v, s[j], s[j + 1], f[j], f[j + 1]) for j in ends]
+    grid = np.flatnonzero(certified)
+    lams = 1j * np.concatenate([s[grid], [r[0] for r in roots]])
+    return lams, [pairs[j] for j in grid] + [r[1] for r in roots], np.arange(lams.size) < grid.size
 
 
-def _solution(problem: PencilProblem, qz: Pairs, sweep: Pairs) -> PencilSolution:
-    """The QZ and the swept pairs, classified: sorted by |Re lambda|, with
-    their tail masses and the ``candidate`` and ``physical`` flags."""
-    w = np.concatenate([qz[0], sweep[0]])
-    pairs = qz[1] + sweep[1]
-    d = problem.window.dimension
-    V = np.array([p.vector for p in pairs], dtype=complex).reshape(w.size, d).T
-    residuals = np.array([p.sigma for p in pairs], dtype=float)
-    converged = np.array([p.converged for p in pairs], dtype=bool)
-    swept = np.arange(w.size) >= qz[0].size
+def solve_pencil(problem: PencilProblem, *, axis_sweep: bool = True) -> PencilSolution:
+    """The certified eigenpairs of the truncated pencil, all on the
+    imaginary axis and sorted by S.
+
+    These are the imaginary-axis sweep's grid certificates (``swept``) and,
+    where T(iS) is real, the determinant roots refined between its grid
+    points; with ``axis_sweep`` False only the roots.  Every pair obeys
+    sigma <= SWEEP_RTOL * (||(A-alpha)v|| + S ||(B-beta)v||), a scale
+    independent of the truncation M.  Integer <N> >= 4 of the number/phase
+    family still certify, because their boundary defect is below double
+    precision.  ``candidate`` flags the pairs with Im lambda inside S_WINDOW
+    and eigenvector tail mass below TAIL_TOL, ``physical`` the candidates
+    with |Re lambda| <= IMAG_AXIS_RTOL * (1 + |lambda|).  ``converged``
+    records, per pair, whether its inverse iteration met a stopping rule
+    within its step cap.
+
+    Raises
+    ------
+    SingularPencilError
+        When a bracketed root does not meet the certificate.
+    """
+    a, b = problem.bands()
+    w, pairs, swept = _sweep_pairs(a, b)
+    order = [j for j in np.argsort(w.imag, kind="stable") if axis_sweep or not swept[j]]
+    w, swept, pairs = w[order], swept[order], [pairs[j] for j in order]
+    V = np.array([p.vector for p in pairs], dtype=complex).reshape(w.size, problem.window.dimension).T
     tails = tail_mass(V, problem.window)
-    order = np.argsort(np.abs(w.real), kind="stable")
-    w, V = w[order], V[:, order]
-    residuals, tails, swept, converged = residuals[order], tails[order], swept[order], converged[order]
-
     candidate = (w.imag >= S_WINDOW[0]) & (w.imag <= S_WINDOW[1]) & (tails < TAIL_TOL)
     physical = candidate & (np.abs(w.real) <= IMAG_AXIS_RTOL * (1.0 + np.abs(w)))
     return PencilSolution(
         problem=problem,
         eigenvalues=w,
         vectors=V,
-        residuals=residuals,
+        residuals=np.array([p.sigma for p in pairs], dtype=float),
         tail_masses=tails,
         swept=swept,
         candidate=candidate,
         physical=physical,
-        converged=converged,
+        converged=np.array([p.converged for p in pairs], dtype=bool),
     )
-
-
-def solve_pencil(problem: PencilProblem, *, axis_sweep: bool = True) -> PencilSolution:
-    """All eigenpairs of the truncated pencil, real QZ plus axis-sweep certificates.
-
-    The eigenvalues come from eigenvalue-only real QZ on the pair
-    (A - alpha, D^H (B - beta) D), D = diag(i^k); each finite eigenvalue's
-    unit vector from banded inverse iteration on (A-alpha) - lambda(B-beta),
-    which stops once the residual is at roundoff.  Every returned pair obeys
-    the residual bound
-    ||(A-alpha)v - lambda(B-beta)v|| <= 1e-9 (||A-alpha|| + |lambda| ||B-beta||);
-    pairs are sorted by |Re lambda|.  With ``axis_sweep`` (the default) the
-    sweep adds (iS, v) for each of SWEEP_POINTS values S across S_WINDOW
-    whose smallest singular pair (sigma, v) of (A-alpha) - iS(B-beta),
-    found by the same roundoff-stopped inverse iteration, satisfies
-    sigma <= SWEEP_RTOL * (||(A-alpha)v|| + S ||(B-beta)v||).  That local
-    scale is independent of the truncation M.  Integer <N> >= 4 of the
-    number/phase family still certify, because their boundary defect is
-    below double precision.  ``candidate`` flags the pairs with Im lambda
-    inside S_WINDOW and eigenvector tail mass below TAIL_TOL, ``physical``
-    the candidates with |Re lambda| <= IMAG_AXIS_RTOL * (1 + |lambda|).
-    ``converged`` records, per pair, whether its inverse iteration met a
-    stopping rule within its step cap.
-
-    Raises
-    ------
-    SingularPencilError
-        When the QZ iteration fails or produces no finite eigenvalue;
-        perturbing beta resolves generic failures.
-    """
-    a, b = problem.bands()
-    qz = _qz_pairs(problem, a, b)
-    return _solution(problem, qz, _sweep_pairs(a, b) if axis_sweep else _NO_PAIRS)
-
-
-def _sweep_solution(problem: PencilProblem) -> PencilSolution:
-    """The sweep's certified pairs alone, classified as in :func:`solve_pencil`."""
-    a, b = problem.bands()
-    return _solution(problem, _NO_PAIRS, _sweep_pairs(a, b))
 
 
 # -- uncertainty floor at fixed expectation ---------------------------------
@@ -627,10 +612,9 @@ def uncertainty_floor(A: OperatorMatrix, alpha: float) -> tuple[float, AngularSt
 class QuantizationScan:
     """Per-alpha summary of the physical-eigenvalue search and the floor.
 
-    ``eigenvalues`` holds every eigenvalue each point's solve returned (for
-    a circle point, the certified sweep values only) and
-    ``physical_eigenvalues`` the flagged ones; neither is in the CSV rows, and
-    only ``eigenvalues`` is in the JSON artifact.
+    ``eigenvalues`` holds the certified eigenvalues each point's solve
+    returned and ``physical_eigenvalues`` the flagged ones; neither is in the
+    CSV rows, and only ``eigenvalues`` is in the JSON artifact.
     """
 
     family: str
@@ -656,17 +640,14 @@ def quantization_scan(
 ) -> QuantizationScan:
     """Scan expectation values for the existence of physical squeezed states.
 
-    Per alpha the pencil is solved at the module's physicality constants,
-    the minimal |Re lambda| over the solution's ``candidate`` pairs recorded,
-    and the two-level uncertainty floor at <A> = alpha attached.  An
-    oscillator point is solved by :func:`solve_pencil` (QZ plus the sweep:
-    its branches are isolated, well-conditioned QZ eigenvalues).  A circle
-    point runs the imaginary-axis sweep alone, whose certified pairs go
-    through the same classification.  Circle QZ candidates appear only where
-    the sweep already certifies points on the axis (distance 0), so the flags
-    and distances are those of the full solve, while ``eigenvalues`` holds
-    only the certified sweep values.  Points where the solve fails are
-    flagged in ``errors`` instead of aborting the scan.
+    Per alpha the pencil is solved by :func:`solve_pencil` (the sweep and
+    its determinant roots, for both families) at the module's physicality
+    constants, the minimal |Re lambda| over the solution's ``candidate``
+    pairs recorded (0 where a candidate exists, since every certified pair
+    lies on the axis, and inf where none does), and the two-level
+    uncertainty floor at <A> = alpha attached.  Points where the solve
+    fails (a determinant root that does not certify) are flagged in
+    ``errors`` instead of aborting the scan.
 
     Scan points are independent; ``max_workers`` > 1 evaluates them in a
     thread pool with output assembled in grid order.
@@ -674,13 +655,11 @@ def quantization_scan(
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_scan(family, alphas, M)
 
-    solve = _sweep_solution if family == "circle" else solve_pencil
-
     def one(alpha: float):
         problem = _family_problem(family, alpha, beta, M)
         floor, _ = uncertainty_floor(problem.A, alpha)
         try:
-            sol = solve(problem)
+            sol = solve_pencil(problem)
         except SingularPencilError as exc:
             none = np.array([], dtype=complex)
             return math.inf, floor, False, none, none, str(exc)

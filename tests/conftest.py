@@ -8,8 +8,9 @@ The number/phase squeezed states are checked against their closed-form
 Bessel branches, found by root bracketing without any pencil, the Newton
 gamma minimization against a derivative-free golden-section search, the banded
 pencil kernels against dense LAPACK (SVD and complex QZ), the batched
-inverse iteration against the serial one it replaced, the sweep-only circle
-scan against the full QZ-plus-sweep solve, the two-level
+inverse iteration against the serial one it replaced, the scan (the axis
+sweep and its determinant roots) against the real-QZ-plus-sweep
+classification it replaced, the two-level
 uncertainty floor against a linear program over the probability simplex, and
 the ground-state f table against the same ground states reported through
 the gamma-searching moment engine, its even-parity sector against the full
@@ -29,14 +30,22 @@ from scipy.special import iv
 
 import packetlab as pl
 from packetlab.moments import GAMMA_SCAN_POINTS
+from packetlab.operators import OperatorId
 from packetlab.pencil import (
     _MAX_STEPS,
     _REFINE_ROUNDOFF,
+    IMAG_AXIS_RTOL,
     S_WINDOW,
+    SWEEP_POINTS,
+    SWEEP_RTOL,
     QuantizationScan,
     SingularPair,
     _family_problem,
+    _local_scale,
+    _pencil_pairs,
+    _start_vector,
 )
+from packetlab.states import TAIL_TOL, tail_mass
 
 GL_POINTS = 4096
 
@@ -288,19 +297,74 @@ def serial_pencil_pair(
     return serial_inverse_iteration(T, v, local)
 
 
+_SINE_IDS = {OperatorId.SIN_PHI, OperatorId.PHASE_SIN}
+# i^k by table: 1j**k leaves roundoff in the real part of odd powers.
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def qz_eigenvalues(problem: pl.PencilProblem, a: np.ndarray, b) -> np.ndarray:
+    """Finite eigenvalues of the pencil by real QZ, without eigenvectors.
+
+    The solver the library ran before its axis roots came from the sweep:
+    the exact unitary similarity D = diag(i^k) makes the sine operators the
+    real symmetric tridiagonal -C (the cosine ones already are real), so
+    real QZ on (diag(A - alpha), D^H (B - beta) D) returns every eigenvalue.
+    """
+    sub, main, sup = b
+    if OperatorId(problem.B.id) in _SINE_IDS:
+        # D^H (B - beta) D with D = diag(i^k): (-1/2) off the diagonal, exactly
+        D = _I_POWERS[np.arange(a.size) % 4]
+        sub = D[1:].conj() * sub * D[:-1]
+        sup = D[:-1].conj() * sup * D[1:]
+    B_real = np.diag(main.real) + np.diag(sub.real, -1) + np.diag(sup.real, 1)
+    try:
+        w = sla.eig(np.diag(a), B_real, right=False)
+    except (sla.LinAlgError, ValueError) as exc:
+        raise pl.SingularPencilError(
+            f"QZ failed for alpha={problem.alpha}, beta={problem.beta}: {exc}; "
+            "try perturbing beta"
+        ) from exc
+    w = w[np.isfinite(w)]
+    if w.size == 0:
+        raise pl.SingularPencilError(
+            f"pencil has no finite eigenvalues at alpha={problem.alpha}, "
+            f"beta={problem.beta}; try perturbing beta"
+        )
+    return w
+
+
 def quantization_scan_qz(family: str, alphas, M: int, beta: float = 0.0) -> QuantizationScan:
-    """Quantization scan whose every point is classified by the full
-    :func:`packetlab.solve_pencil` (real QZ plus the axis sweep), the way
-    circle points were before they ran the sweep alone."""
+    """Quantization scan whose every point is classified the way the library
+    did while it ran QZ: the real QZ eigenvalues (:func:`qz_eigenvalues`)
+    and the certified axis-sweep grid values, each with its inverse-iteration
+    pair, classified by the candidate and physical rules, with no
+    determinant roots.
+
+    Only QZ eigenvalues with Im lambda inside S_WINDOW get a pair: no other
+    can be a candidate, and a shift's pair does not depend on the other
+    shifts of its batch.
+    """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    s = np.linspace(S_WINDOW[0], S_WINDOW[1], SWEEP_POINTS)
     dist, floor, flagged = [], [], []
     for alpha in alphas:
         problem = _family_problem(family, alpha, beta, M)
-        sol = pl.solve_pencil(problem)
-        cand = sol.candidate
-        dist.append(float(np.min(sol.axis_distances[cand])) if np.any(cand) else math.inf)
+        a, b = problem.bands()
+        qz = qz_eigenvalues(problem, a, b)
+        qz = qz[(qz.imag >= S_WINDOW[0]) & (qz.imag <= S_WINDOW[1])]
+        lams = np.concatenate([qz, 1j * s])
+        pairs = _pencil_pairs(a, b, lams, _start_vector(a.size))
+        V = np.array([p.vector for p in pairs], dtype=complex)
+        sigma = np.array([p.sigma for p in pairs])
+        certified = sigma[qz.size:] <= SWEEP_RTOL * _local_scale(a, b, 1j * s, V[qz.size:])
+        keep = np.concatenate([np.ones(qz.size, dtype=bool), certified])
+        w = lams[keep]
+        tails = tail_mass(V[keep].T, problem.window)
+        cand = (w.imag >= S_WINDOW[0]) & (w.imag <= S_WINDOW[1]) & (tails < TAIL_TOL)
+        physical = cand & (np.abs(w.real) <= IMAG_AXIS_RTOL * (1.0 + np.abs(w)))
+        dist.append(float(np.min(np.abs(w.real[cand]))) if np.any(cand) else math.inf)
         floor.append(pl.uncertainty_floor(problem.A, alpha)[0])
-        flagged.append(bool(np.any(sol.physical)))
+        flagged.append(bool(np.any(physical)))
     return QuantizationScan(
         family, alphas, np.array(dist), np.array(floor), np.array(flagged, dtype=bool)
     )
@@ -346,7 +410,6 @@ def f_table_via_moments(targets, m: int = 0) -> pl.FTable:
     of its target and the ground state's tail mass is below
     ``states.TAIL_TOL``.
     """
-    from packetlab.states import TAIL_TOL, tail_mass
     from packetlab.variational import F_MAX_OUTER, F_MODES, F_NEWTON_TOL
 
     F_CONSTRAINT_TOL = 1e-6

@@ -235,13 +235,16 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, command, option, content
         ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "1e17", "--alpha-step", "0.5"],
         # a grid of 4e17 points: its allocation (beyond any address space) fails at once
         ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "4", "--alpha-step", "1e-17"],
+        # a subnormal step: (max - min) / step overflows to inf
+        ["scan", "--family", "circle", "--alpha-min", "-1", "--alpha-max", "1", "--alpha-step", "1e-320"],
         ["css", "--S", "0.5", "--ell", "0", "--center", "nan", "-M", "8"],
         ["css", "--S", "0.5", "--ell", "0", "--center", "inf", "-M", "8"],
     ],
     ids=[
         "zero-step", "negative-step", "min-above-max", "infinite-max",
         "negative-oscillator-alpha", "no-f-targets", "nan-floor-alpha", "nan-pencil-alpha",
-        "max-beyond-truncation", "unallocatable-grid", "nan-center", "infinite-center",
+        "max-beyond-truncation", "unallocatable-grid", "infinite-grid", "nan-center",
+        "infinite-center",
     ],
 )
 def test_bad_pencil_inputs_exit_2(capsys, argv):

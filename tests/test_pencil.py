@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import packetlab as pl
+import packetlab.pencil as pp
 from conftest import (
     align_phase,
     dense_pencil_eigenvalues,
     dense_smallest_singular_pair,
     oscillator_branches,
+    qz_eigenvalues,
     quantization_scan_qz,
     serial_inverse_iteration,
     serial_pencil_pair,
@@ -129,17 +131,17 @@ def test_banded_kernel_singular_and_tiny_pivots():
     ],
 )
 def test_batched_kernel_matches_serial_oracle(family, alpha):
-    # every sweep point and every QZ eigenvalue of the pencil in one batch,
-    # against one serial inverse iteration per shift; at oscillator 5.0 some
-    # sweep points certify at working precision, so the certificate is
-    # checked right at its threshold
-    import packetlab.pencil as pp
+    # every sweep point and every real-QZ eigenvalue of the pencil (complex
+    # shifts, nearly all off the axis) in one batch, against one serial
+    # inverse iteration per shift; at oscillator 5.0 some sweep points
+    # certify at working precision, so the certificate is checked right at
+    # its threshold
 
     problem = pp._family_problem(family, alpha, 0.0, 64)
     a, b = problem.bands()
     v0 = pp._start_vector(a.size)
     s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)
-    lams = np.concatenate([1j * s, pp._eigenvalues(problem, a, b)])
+    lams = np.concatenate([1j * s, qz_eigenvalues(problem, a, b)])
     batched = pp._pencil_pairs(a, b, lams, v0)
     serial = [serial_pencil_pair(a, b, lam, v0) for lam in lams]
     for p, q in zip(batched, serial):
@@ -153,8 +155,8 @@ def test_batched_kernel_matches_serial_oracle(family, alpha):
         local = np.linalg.norm(Aef @ q.vector) + S * np.linalg.norm(Bef @ q.vector)
         if q.sigma <= pp.SWEEP_RTOL * local:
             certified.append(S)
-    swept, _ = pp._sweep_pairs(a, b)
-    assert list(swept.imag) == certified
+    lams, _, swept = pp._sweep_pairs(a, b)
+    assert list(lams[swept].imag) == certified
     assert (len(certified) == pp.SWEEP_POINTS) == (family == "circle" and alpha == round(alpha))
 
 
@@ -162,7 +164,6 @@ def test_batched_kernel_isolates_singular_blocks():
     # an exactly singular block (a zero pivot) and one whose solve overflows
     # (a subnormal pivot) among random blocks: only those two are nudged, and
     # every block comes out bit for bit as the serial kernel has it alone
-    import packetlab.pencil as pp
 
     rng = np.random.default_rng(7)
     d = 9
@@ -197,7 +198,6 @@ def test_real_sweep_matches_complex_oracle(family, alpha):
     # and where it certifies, the two agree to roundoff.  Measured at M = 64:
     # sigma to <= 1.5e-16 * local and vectors, up to a global phase, to
     # <= 3.5e-16; the bounds leave a margin of about 7x and 30x.
-    import packetlab.pencil as pp
 
     problem = pp._family_problem(family, alpha, 0.0, 64)
     a, b = problem.bands()
@@ -214,21 +214,21 @@ def test_real_sweep_matches_complex_oracle(family, alpha):
             certified.append(S)
             assert abs(p.sigma - q.sigma) <= 1e-15 * local
             assert np.max(np.abs(align_phase(q.vector, p.vector) - p.vector)) <= 1e-14
-    swept, _ = pp._sweep_pairs(a, b)
-    assert list(swept.imag) == certified
+    lams, _, swept = pp._sweep_pairs(a, b)
+    assert list(lams[swept].imag) == certified
     assert (len(certified) == pp.SWEEP_POINTS) == (family == "circle" and alpha == round(alpha))
 
 
 @pytest.mark.parametrize("family, alpha", [("circle", 0.3), ("circle", 1.0), ("oscillator", 0.5)])
 def test_pencil_pairs_independent_of_batch(family, alpha):
-    # axis shifts (real arithmetic) and QZ shifts (complex) in one call: each
-    # shift comes out bit for bit as a call with that shift alone gives it
-    import packetlab.pencil as pp
+    # axis shifts (real arithmetic) and real-QZ eigenvalues (complex shifts)
+    # in one call: each shift comes out bit for bit as a call with that
+    # shift alone gives it
 
     problem = pp._family_problem(family, alpha, 0.0, 32)
     a, b = problem.bands()
     v0 = pp._start_vector(a.size)
-    qz = pp._eigenvalues(problem, a, b)
+    qz = qz_eigenvalues(problem, a, b)
     s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)[::8]
     lams = np.concatenate([qz[:6], 1j * s, qz[6:12]])
     mixed = pp._pencil_pairs(a, b, lams, v0)
@@ -266,9 +266,8 @@ def test_real_kernel_matches_dense_svd(seed):
 
 def test_nonzero_beta_keeps_complex_path():
     # at beta != 0 the diagonal of T(iS) carries -iS(-beta), so the sweep
-    # stays complex, and the sweep-only circle scan still writes the bytes of
-    # the full QZ-plus-sweep classification
-    import packetlab.pencil as pp
+    # stays complex (and has no determinant sign), and the circle scan still
+    # writes the bytes of the real-QZ-plus-sweep classification
     from packetlab.pencil import scan_to_csv_rows
 
     a, b = pp.circle_problem(1.0, beta=0.2, M=32).bands()
@@ -282,8 +281,8 @@ def test_nonzero_beta_keeps_complex_path():
 
 
 def test_circle_scan_matches_qz_oracle():
-    # QZ decides nothing on the circle: the sweep-only scan writes the same
-    # CSV bytes as classifying every point with QZ plus the sweep
+    # QZ decides nothing on the circle: the scan writes the same CSV bytes
+    # as classifying every point with real QZ plus the sweep
     from packetlab.pencil import scan_to_csv_rows
 
     alphas = [k / 10 for k in range(-20, 21)] + [0.999, 1.001, 0.9999999, -1.01]
@@ -299,16 +298,95 @@ def test_circle_flags_independent_of_truncation():
         assert list(scan.flagged_alphas()) == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
 
-def test_real_qz_matches_complex_qz():
-    # well-conditioned (non-integer) number/phase spectra are unaffected by
-    # the diag(i^k) similarity and by real arithmetic
-    for alpha in (0.5, 1.3, 3.7):
+def test_refined_roots_match_complex_qz():
+    # the determinant roots are the eigenvalues that dense complex QZ puts on
+    # the imaginary axis inside the S window, and there are none off the
+    # branches in (0, 1), (2, 3) and (4, 5)
+    for alpha in (0.5, 1.3, 2.5, 3.7, 4.5):
         problem = pl.oscillator_problem(alpha, M=64)
         w = pl.solve_pencil(problem, axis_sweep=False).eigenvalues
         ref = dense_pencil_eigenvalues(problem)
-        assert w.size == ref.size
+        on_axis = np.abs(ref.real) <= pp.IMAG_AXIS_RTOL * (1 + np.abs(ref))
+        ref = ref[on_axis & (ref.imag >= pp.S_WINDOW[0]) & (ref.imag <= pp.S_WINDOW[1])]
+        assert w.size == ref.size == len(oscillator_branches(alpha))
         for lam in w:
             assert np.min(np.abs(ref - lam)) <= 1e-12 * (1 + abs(lam))
+
+
+@pytest.mark.parametrize("M", [64, 512])
+def test_branch_roots_match_closed_form(M):
+    # each branch is one refined root, within 1e-13 of the root of
+    # I_{-1-<N>}(S) (measured: 2.2e-14 at both M)
+    for alpha in (0.05, 0.25, 0.5, 0.75, 2.2, 2.5, 4.5, 4.9):
+        sol = pl.solve_pencil(pl.oscillator_problem(alpha, M=M))
+        (s_exact,) = oscillator_branches(alpha)
+        assert sol.n == 1 and not sol.swept[0] and sol.physical[0] and sol.converged[0]
+        assert sol.eigenvalues[0].real == 0.0
+        assert abs(sol.eigenvalues[0].imag - s_exact) <= 1e-13
+
+
+@pytest.mark.parametrize("M, beta", [(64, 0.0), (128, 0.0), (64, 0.2), (64, -0.5)])
+def test_oscillator_scan_flags_match_qz_oracle(M, beta):
+    alphas = 0.05 * np.arange(121)
+    scan = pl.quantization_scan("oscillator", alphas, beta=beta, M=M)
+    ref = quantization_scan_qz("oscillator", alphas, M, beta=beta)
+    assert all(e is None for e in scan.errors)
+    assert list(scan.flagged) == list(ref.flagged)
+    assert scan.flagged.sum() == (60 if beta == 0.0 else 0)
+
+
+@pytest.mark.parametrize("M", [64, 128])
+def test_noninteger_circle_has_no_pair(M):
+    # off the integers det T(iS) keeps its sign across the window, so the
+    # circle pencil has no bracket and no certified point
+    for alpha in (0.3, 0.5, 1.7, -1.01, 0.99999, 0.05):
+        assert pl.solve_pencil(pl.circle_problem(alpha, M=M)).n == 0
+
+
+@pytest.mark.parametrize(
+    "beta, csv_sha256, json_sha256",
+    [
+        (0.0, "8209ebdf04a7cc123ccd3aaa09e834789f86e7b963f9fe544a836ab46742b5e3",
+         "9d34066e1ecb2ac393f03df787010f457bda532744efb208a3edcda50a2a9533"),
+        (0.2, "fff9e28fe6b4078d65762962c10ab30bbb91a16b845bb00f4c8bb815da0c7fe2",
+         "4ab2fd45b618b637a384e26e0fc24d26e9643a8f681610772b053fec089fa0a9"),
+    ],
+)
+def test_circle_scan_bytes_unchanged(beta, csv_sha256, json_sha256):
+    # SHA-256 of the circle scan artifacts written by the solver that ran
+    # real QZ: the circle has no determinant root, so not a byte moves
+    import hashlib
+    import json
+
+    from packetlab.pencil import scan_to_csv_rows, scan_to_dict
+
+    alphas = -2 + 0.05 * np.arange(81)
+    alphas = np.concatenate([alphas, [0.999, 1.001, 0.9999999, 0.999999, 0.99999, -1.01]])
+    scan = pl.quantization_scan("circle", alphas, beta=beta, M=64)
+    for text, digest in (
+        ("\n".join(scan_to_csv_rows(scan)), csv_sha256),
+        (json.dumps(scan_to_dict(scan)), json_sha256),
+    ):
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_uncertified_root_is_a_scan_error(monkeypatch, capsys):
+    # with one refinement step (and one inverse-iteration step) the bracket
+    # at <N> = 1/2 cannot certify: the point records the error and is not
+    # flagged, and the CLI exits 3
+    from packetlab.cli import main
+
+    monkeypatch.setattr(pp, "_MAX_STEPS", 1)
+    scan = pl.quantization_scan("oscillator", [0.5, 1.5], M=32)
+    assert "did not certify" in scan.errors[0] and scan.errors[1] is None
+    assert not scan.flagged.any()
+    argv = ["scan", "--family", "oscillator", "--alpha-min", "0.5", "--alpha-max", "1.5",
+            "--alpha-step", "1", "-M", "32", "--output", "csv"]
+    assert main(argv) == 3
+    assert capsys.readouterr().out.split("\n")[1:3] == [
+        "0.5,inf,0.5,0",
+        "1.5,inf,0.5,0",
+    ]
 
 
 def test_floor_examples():
@@ -421,17 +499,13 @@ def test_oscillator_scan_rejects_out_of_range():
 
 
 def test_scan_records_solver_failures(monkeypatch):
-    # a circle point runs the sweep alone and an oscillator point the full
-    # solve, so the failure goes into the call each family makes
-    import packetlab.pencil as pp
-
+    # both families run the one solver, so the failure goes into it
     def boom(problem, **kw):
         raise pl.SingularPencilError("synthetic failure")
 
-    for family, solver in (("circle", "_sweep_solution"), ("oscillator", "solve_pencil")):
-        with monkeypatch.context() as patch:
-            patch.setattr(pp, solver, boom)
-            scan = pp.quantization_scan(family, [0.0, 1.0], M=16)
+    monkeypatch.setattr(pp, "solve_pencil", boom)
+    for family in ("circle", "oscillator"):
+        scan = pp.quantization_scan(family, [0.0, 1.0], M=16)
         assert all(e is not None for e in scan.errors)
         assert not scan.flagged.any()
         assert np.all(np.isinf(scan.min_axis_distance))
