@@ -24,7 +24,13 @@ Matrix elements follow the convention entries[m, n] = <m|O|n> with
 <m| = e^{-i m phi}/sqrt(2 pi) integrated over the circle, so quadrature of
 e^{-i m phi} O e^{i n phi} / (2 pi) reproduces every entry.
 
-Dimensions stay in the hundreds, so everything is dense; no sparse machinery.
+Each kind is stored the way it is shaped (band storage, Golub & Van Loan,
+Matrix Computations, 4th ed., section 4.3): L and N as their real diagonal,
+the four cos/sin stencils as their sub-, main and super-diagonals, and only
+phi_p and phi_p^2, which are full, as dense matrices.  So a pencil of a
+diagonal and a tridiagonal operator costs O(d) memory at any truncation, and
+``entries`` builds the dense matrix only for the callers that need it
+(``apply``, ``expectation``, ``commutator``, ``write_matrix_csv``).
 """
 
 from __future__ import annotations
@@ -63,22 +69,54 @@ CIRCLE_IDS = frozenset(
 OSCILLATOR_IDS = frozenset(
     {OperatorId.NUMBER, OperatorId.PHASE_COS, OperatorId.PHASE_SIN}
 )
+# The shape each kind is stored in; phi_p and phi_p^2 are dense.
+DIAGONAL_IDS = frozenset({OperatorId.ANGULAR_MOMENTUM, OperatorId.NUMBER})
+TRIDIAGONAL_IDS = frozenset(
+    {OperatorId.COS_PHI, OperatorId.SIN_PHI, OperatorId.PHASE_COS, OperatorId.PHASE_SIN}
+)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Hermitian matrix tagged with the operator it represents."""
+    """Hermitian matrix tagged with the operator it represents.
+
+    ``data`` holds the matrix in the one shape its kind is stored in:
+    ``(diagonal,)`` (real) for DIAGONAL_IDS, ``(sub, main, super)`` (complex
+    diagonals) for TRIDIAGONAL_IDS, and ``(entries,)`` (complex, d x d) for
+    phi_p and phi_p^2.
+    """
 
     id: OperatorId
     window: ModeWindow
-    entries: np.ndarray
+    data: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
         d = self.window.dimension
-        if e.shape != (d, d):
-            raise ValueError(f"entries shape {e.shape} != ({d}, {d})")
-        object.__setattr__(self, "entries", _freeze(e))
+        if self.id in DIAGONAL_IDS:
+            shapes, dtype = [(d,)], float
+        elif self.id in TRIDIAGONAL_IDS:
+            shapes, dtype = [(d - 1,), (d,), (d - 1,)], complex
+        else:
+            shapes, dtype = [(d, d)], complex
+        got = [np.shape(x) for x in self.data]
+        if got != shapes:
+            raise ValueError(f"{OperatorId(self.id).value} data shapes {got} != {shapes}")
+        object.__setattr__(self, "data", tuple(_freeze(np.asarray(x, dtype=dtype)) for x in self.data))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense d x d matrix; a new one on each call for a banded kind."""
+        if self.data[0].ndim == 2:
+            return self.data[0]
+        e = np.zeros((self.window.dimension,) * 2, dtype=complex)
+        if self.id in DIAGONAL_IDS:
+            np.fill_diagonal(e, self.data[0])
+        else:
+            sub, main, sup = self.data
+            np.fill_diagonal(e, main)
+            np.fill_diagonal(e[1:], sub)
+            np.fill_diagonal(e[:, 1:], sup)
+        return _freeze(e)
 
 
 def build(op_id: OperatorId, window: ModeWindow) -> OperatorMatrix:
@@ -98,36 +136,37 @@ def build(op_id: OperatorId, window: ModeWindow) -> OperatorMatrix:
 
     d = window.dimension
     m = window.modes
-    if op_id is OperatorId.ANGULAR_MOMENTUM or op_id is OperatorId.NUMBER:
-        entries = np.diag(m.astype(complex))
-    elif op_id in (OperatorId.COS_PHI, OperatorId.PHASE_COS, OperatorId.SIN_PHI, OperatorId.PHASE_SIN):
-        # the two nonzero diagonals: cos has 1/2 on both, sin (m, m+1) = +i/2
-        # and (m+1, m) = -i/2
+    if op_id in DIAGONAL_IDS:
+        data = (m,)
+    elif op_id in TRIDIAGONAL_IDS:
+        # cos has 1/2 on both off-diagonals, sin (m, m+1) = +i/2 and
+        # (m+1, m) = -i/2
         half = 0.5j if op_id in (OperatorId.SIN_PHI, OperatorId.PHASE_SIN) else 0.5
-        entries = np.zeros((d, d), dtype=complex)
-        idx = np.arange(d - 1)
-        entries[idx, idx + 1] = half
-        entries[idx + 1, idx] = np.conj(half)
+        off = np.ones(d - 1)
+        data = (np.conj(half) * off, np.zeros(d), half * off)
     elif op_id is OperatorId.PHI_P:
         k = m[None, :] - m[:, None]  # n - m
         with np.errstate(divide="ignore", invalid="ignore"):
             entries = 1j * (-1.0) ** k / (-k)
         np.fill_diagonal(entries, 0.0)
+        data = (entries,)
     elif op_id is OperatorId.PHI_P_SQUARED:
         k = m[None, :] - m[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             entries = 2.0 * (-1.0) ** k / k.astype(float) ** 2 + 0j
         np.fill_diagonal(entries, np.pi**2 / 3.0)
+        data = (entries,)
     else:  # pragma: no cover
         raise IncompatibleFamilyError(f"unknown operator {op_id}")
-    return OperatorMatrix(op_id, window, entries)
+    return OperatorMatrix(op_id, window, data)
 
 
 def commutator(X: OperatorMatrix, Y: OperatorMatrix) -> np.ndarray:
     """XY - YX.  Exact only away from the truncation boundary rows."""
     if X.window != Y.window:
         raise WindowMismatchError("operators live on different windows")
-    return X.entries @ Y.entries - Y.entries @ X.entries
+    x, y = X.entries, Y.entries
+    return x @ y - y @ x
 
 
 def apply(X: OperatorMatrix, s: AngularState) -> np.ndarray:
@@ -151,8 +190,9 @@ def write_matrix_csv(op: OperatorMatrix, fh: IO[str]) -> None:
     fh.write(json.dumps(header) + "\n")
     fh.write("i,j,re,im\n")
     modes = op.window.modes
-    for i in range(op.entries.shape[0]):
-        for j in range(op.entries.shape[1]):
-            z = op.entries[i, j]
+    entries = op.entries
+    for i in range(entries.shape[0]):
+        for j in range(entries.shape[1]):
+            z = entries[i, j]
             if z != 0:
                 fh.write(f"{modes[i]},{modes[j]},{z.real:.17g},{z.imag:.17g}\n")

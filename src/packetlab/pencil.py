@@ -25,7 +25,13 @@ stencils):
   runs in real arithmetic (dgttrf/dgttrs, real vectors), every other one in
   complex (zgttrf/zgttrs).  On the sine pencils at beta = 0 that is every
   point of the imaginary axis: -iS (+-i/2) = -+S/2 off the diagonal, and
-  the diagonal is A - alpha.
+  the diagonal is A - alpha.  Nothing on this path is d x d: the operators
+  are stored as their bands, a real shift's bands are formed in ?gttrf's
+  flat layout straight from the real and imaginary parts of lambda and
+  B - beta, and each call allocates its work arrays once, so a step of
+  every shift runs in place (?gttrs overwrites its right-hand side) with no
+  gathers.  The stopping rule's local scale comes from the step's own T v,
+  since |lambda| ||(B - beta)v|| = ||(A - alpha)v - T v||.
 * The imaginary-axis sweep.  For a grid of S values the kernel certifies
   (iS, v) as an eigenpair whenever its residual is at working precision,
   sigma <= SWEEP_RTOL * (||(A - alpha)v|| + S ||(B - beta)v||).  The scale is
@@ -84,7 +90,7 @@ from .errors import (
     SingularPencilError,
     WindowMismatchError,
 )
-from .operators import OperatorId, OperatorMatrix, build
+from .operators import DIAGONAL_IDS, TRIDIAGONAL_IDS, OperatorId, OperatorMatrix, build
 from .states import TAIL_TOL, AngularState, ModeWindow, tail_mass
 
 # The physicality policy (how each value is used: solve_pencil).  It is fixed
@@ -96,8 +102,6 @@ IMAG_AXIS_RTOL = 1e-8
 SWEEP_RTOL = 1e-12
 SWEEP_POINTS = 80
 
-_A_IDS = {OperatorId.ANGULAR_MOMENTUM, OperatorId.NUMBER}
-_B_IDS = {OperatorId.SIN_PHI, OperatorId.COS_PHI, OperatorId.PHASE_SIN, OperatorId.PHASE_COS}
 # Inverse iteration on T(lambda) (sweep, eigenvector_at) and the refinement of
 # an axis root both stop once ||T v|| is this many units of roundoff of the
 # local scale ||(A - alpha)v|| + |lambda| ||(B - beta)v||, or after
@@ -123,11 +127,11 @@ class PencilProblem:
     def __post_init__(self):
         if self.A.window != self.B.window:
             raise WindowMismatchError("A and B live on different windows")
-        if OperatorId(self.A.id) not in _A_IDS:
+        if OperatorId(self.A.id) not in DIAGONAL_IDS:
             raise IncompatibleFamilyError(
                 f"A must be a discrete-spectrum operator, got {self.A.id}"
             )
-        if OperatorId(self.B.id) not in _B_IDS:
+        if OperatorId(self.B.id) not in TRIDIAGONAL_IDS:
             raise IncompatibleFamilyError(
                 f"B must be a bounded coordinate operator, got {self.B.id}"
             )
@@ -144,9 +148,8 @@ class PencilProblem:
 
     def bands(self) -> tuple[np.ndarray, Bands]:
         """The real diagonal of A - alpha and the bands of B - beta."""
-        a = np.real(np.diagonal(self.A.entries)) - self.alpha
-        B = self.B.entries
-        return a, (np.diagonal(B, -1), np.diagonal(B) - self.beta, np.diagonal(B, 1))
+        sub, main, sup = self.B.data
+        return self.A.data[0] - self.alpha, (sub, main - self.beta, sup)
 
 
 def circle_problem(alpha: float, beta: float = 0.0, M: int = 64) -> PencilProblem:
@@ -251,11 +254,12 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
-def _unit_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of y scaled to unit norm, by its largest entry first so no
-    square overflows, in place; ``ok`` is False for a row that is zero or not
-    finite, which is left as it is."""
-    peak = np.max(np.abs(y), axis=1)
+def _unit_rows(y: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Scale each row of y to unit norm in place, by its largest entry first
+    so no square overflows; ``mag`` is a real work array of y's shape.
+    Returns ``ok``, False for a row that is zero or not finite, which is
+    left as it is."""
+    peak = np.abs(y, out=mag).max(axis=1)
     ok = np.isfinite(peak) & (peak > 0.0)
     if ok.all():
         y /= peak[:, None]
@@ -263,79 +267,139 @@ def _unit_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         u = y[ok] / peak[ok, None]
         y[ok] = u / _norms(u)[:, None]
-    return y, ok
+    return ok
 
 
-def _factor(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> list[np.ndarray]:
-    """Partial-pivoting LU (?gttrf) of a stack of tridiagonal blocks, one per
-    row of the (k, d-1), (k, d), (k, d-1) bands, in the bands' arithmetic:
-    dgttrf for float64 bands, zgttrf for complex128.
+# A stack of k tridiagonal blocks of order d is one tridiagonal system of
+# n = k d + 2 rows, kept as ?gttrf's flat bands (dl, d, du): the blocks on
+# the diagonal with zero couplings, then two decoupled rows of the identity
+# (scipy's ?gttrf and ?gttrs take no system of fewer than three rows, and
+# the factor's du2, of n - 2 entries, then has a row of d for every block).
+# Its LU adds du2 and the 1-based pivots ipiv.
 
-    The blocks are factored as one block-diagonal tridiagonal with zero
-    couplings.  Where a coupling is zero ?gttrf neither pivots across it nor
-    carries a nonzero multiplier over it, so each block gets the LU a
-    separate call would give it.  The factor comes back per block, as rows
-    of (dl, d, du, du2, pivot offset), each padded to length d with the
-    zeros that couple it to the next block.
-    """
-    from scipy.linalg import get_lapack_funcs
 
-    gttrf = get_lapack_funcs("gttrf", (main,))
+def _system(k: int, d: int, dtype) -> list[np.ndarray]:
+    """The bands (dl, d, du) of the identity as a stack of k blocks of order d."""
+    n = k * d + 2
+    return [np.zeros(n - 1, dtype=dtype), np.ones(n, dtype=dtype), np.zeros(n - 1, dtype=dtype)]
+
+
+def _blocks(x: np.ndarray, d: int) -> np.ndarray:
+    """The view of a flat system array with one block per row; dl and du
+    rows end in the zero that couples the block to the next."""
+    return x[: x.size - x.size % d].reshape(-1, d)
+
+
+def _stack(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> list[np.ndarray]:
+    """The system of the blocks, one per row of the (k, d-1), (k, d),
+    (k, d-1) bands."""
     k, d = main.shape
-    n = k * d
-    dl, dd, du, du2 = (np.zeros((k, d), dtype=main.dtype) for _ in range(4))
-    dl[:, :-1], dd[:], du[:, :-1] = sub, main, sup
-    # ?gttrf factors dl, dd and du in place
-    *_, fill, piv, _ = gttrf(dl.ravel()[:-1], dd.ravel(), du.ravel()[:-1],
-                             overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    du2.ravel()[: n - 2] = fill
-    piv = (piv - np.arange(1, n + 1, dtype=piv.dtype)).reshape(k, d)  # relative to the row
-    return [dl, dd, du, du2, piv]
+    S = _system(k, d, main.dtype)
+    for x, band in zip(S, (sub, main, sup)):
+        _blocks(x, d)[:k, : band.shape[1]] = band
+    return S
 
 
-def _solve(lu: list[np.ndarray], rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y = (T^H T)^{-1} v for the blocks ``rows`` of the factors ``lu``
-    (:func:`_factor`), one start vector per row of v.
+def _move(dst: list[np.ndarray], at: np.ndarray, src: list[np.ndarray], rows: np.ndarray, d: int) -> None:
+    """Copy the blocks ``rows`` of the system or LU ``src`` into the blocks
+    ``at`` of ``dst``, with any pivots rebased to their new rows."""
+    for x, y in zip(dst[:4], src[:4]):
+        _blocks(x, d)[at] = _blocks(y, d)[rows]
+    if len(src) > 4:
+        _blocks(dst[4], d)[at] = _blocks(src[4], d)[rows] + (d * (at - rows))[:, None]
 
-    The blocks are solved as one system (?gttrs with T^H, then with T, in
-    the factors' arithmetic; for a real T, dgttrs reads trans="C" as T^T,
-    which is T^H), and each row is scaled to unit norm after each solve, so
-    a T singular to working precision cannot overflow.  Returns (y, ok);
-    ``ok`` is False for a block whose solve overflowed or vanished, which
-    includes every block with an exact zero on its U diagonal (?gttrs
-    divides by it).  A zero coupling times a non-finite entry is NaN, so one
-    such block spoils the others: the step is then taken again block by
-    block.
+
+def _take(src: list[np.ndarray], rows: np.ndarray, d: int) -> list[np.ndarray]:
+    """The blocks ``rows`` of the system or LU ``src`` as one of their own."""
+    r = rows.size
+    dst = _system(r, d, src[1].dtype)
+    if len(src) > 4:
+        dst += [np.zeros(r * d, dtype=src[1].dtype), np.arange(1, r * d + 3, dtype=np.int32)]
+    _move(dst, np.arange(r), src, rows, d)
+    return dst
+
+
+def _matvec(S: list[np.ndarray], v: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """T v into ``out`` for the system S and the flat v of its first
+    v.size rows (whole blocks); ``work`` is a scratch array of v's size.  A
+    zero coupling adds a zero term, which can only change the sign of a
+    zero entry."""
+    dl, dd, du = S
+    m = v.size
+    y = np.multiply(dd[:m], v, out=out)
+    y[:-1] += np.multiply(du[: m - 1], v[1:], out=work[: m - 1])
+    y[1:] += np.multiply(dl[: m - 1], v[:-1], out=work[: m - 1])
+    return y
+
+
+def _factor(S: list[np.ndarray]) -> list[np.ndarray]:
+    """Partial-pivoting LU (?gttrf) of the system S, in its arithmetic:
+    dgttrf for float64 bands, zgttrf for complex128.  S is left as it is.
+
+    Where a coupling is zero ?gttrf neither pivots across it nor carries a
+    nonzero multiplier over it, so each block gets the LU a separate call
+    would give it.  Returns the flat (dl, d, du, du2, ipiv).
     """
     from scipy.linalg import get_lapack_funcs
 
-    # rows are sorted and distinct, so as many rows as blocks is all of them
-    dl, dd, du, du2, piv = lu if rows.size == lu[1].shape[0] else (x[rows] for x in lu)
-    gttrs = get_lapack_funcs("gttrs", (dd,))
-    k, d = dd.shape
-    n = k * d
-    f = (dl.ravel()[:-1], dd.ravel(), du.ravel()[:-1], du2.ravel()[: n - 2],
-         piv.ravel() + np.arange(1, n + 1, dtype=piv.dtype))
-    y = v
+    gttrf = get_lapack_funcs("gttrf", (S[1],))
+    return list(gttrf(*S)[:5])
+
+
+def _solve(lu: list[np.ndarray], y: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """y <- (T^H T)^{-1} y in place, for the flat right-hand side y of the
+    LU ``lu`` (:func:`_factor`) and one block per row of the real work
+    array ``mag``.
+
+    ?gttrs runs with T^H, then with T, in the factors' arithmetic (for a
+    real T, dgttrs reads trans="C" as T^T, which is T^H), and each block is
+    scaled to unit norm after each solve, so a T singular to working
+    precision cannot overflow.  Returns ``ok``, False for a block whose
+    solve overflowed or vanished, which includes every block with an exact
+    zero on its U diagonal (?gttrs divides by it).
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    gttrs = get_lapack_funcs("gttrs", (lu[1],))
+    k, d = mag.shape
     for trans in ("C", "N"):
-        # v is kept for the block-by-block retry; z is overwritten
-        y = gttrs(*f, y.ravel(), trans=trans, overwrite_b=y is not v)[0]
-        y, ok = _unit_rows(y.reshape(k, d))
+        gttrs(*lu, y, trans=trans, overwrite_b=1)
+        ok = _unit_rows(y[: k * d].reshape(k, d), mag)
         if not ok.all():
             break
-    if ok.all() or k == 1:
-        return y, ok
-    for j in range(k):
-        yj, okj = _solve(lu, rows[j : j + 1], v[j : j + 1])
-        y[j], ok[j] = yj[0], okj[0]
+    return ok
+
+
+def _gathered(lu: list[np.ndarray], rows: np.ndarray, V: np.ndarray,
+              mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T^H T)^{-1} v for the blocks ``rows`` of the LU ``lu``, one v per
+    row of V, gathered into a system of their own: (y, ok) as
+    :func:`_solve` has them, one row of y per block.  A zero coupling times
+    a non-finite entry is NaN, so one failed block spoils the others: the
+    blocks are then solved again one by one."""
+    r, d = rows.size, V.shape[1]
+    f = _take(lu, rows, d)
+    y = np.zeros_like(f[1])
+    y[: r * d] = V[rows].ravel()
+    ok = _solve(f, y, mag[:r])
+    y = y[: r * d].reshape(r, d)
+    if not ok.all() and r > 1:
+        for j in range(r):
+            yj, okj = _gathered(lu, rows[j : j + 1], V, mag)
+            y[j], ok[j] = yj[0], okj[0]
     return y, ok
 
 
-def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair]:
-    """Inverse iteration v <- (T^H T)^{-1} v from unit v on a stack of
-    tridiagonals, one per row of the (k, d-1), (k, d), (k, d-1) bands T, in
-    the bands' arithmetic; real bands start from the real part of v,
-    normalized.
+def _inverse_iteration(T: Bands, v: np.ndarray, a: np.ndarray | None = None) -> list[SingularPair]:
+    """:func:`_iterate` on the stack of tridiagonals, one per row of the
+    (k, d-1), (k, d), (k, d-1) bands T."""
+    return _iterate(_stack(*T), v, a)
+
+
+def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) -> list[SingularPair]:
+    """Inverse iteration v <- (T^H T)^{-1} v from unit v on every block of
+    the system S (:func:`_stack`), in its arithmetic; a real system starts
+    from the real part of v, normalized.
 
     Every block is factored once (:func:`_factor`), and each step solves
     T^H z = v and then T y = z for all blocks still iterating at once
@@ -344,24 +408,40 @@ def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair
     diagonal shifted by roundoff and is refactored: an LU nudge, which uses
     up a step of that block alone.  A block has converged when
     sigma = ||T v|| changes by at most 1e-6 relative after the fourth step
-    or, given ``local`` (a function of block indices and their vectors
-    bounding the size of the terms of T v), when sigma is at roundoff of
-    local.  Each step iterates only the blocks that have not converged.
+    or, given ``a`` (the real diagonal of A - alpha that
+    T = (A - alpha) - lambda (B - beta) was formed from), when sigma is at
+    roundoff of local = ||(A - alpha)v|| + |lambda| ||(B - beta)v||, read
+    off the step's own T v as ||a v|| + ||a v - T v||.  Each step iterates
+    only the blocks that have not converged.
+
+    The call allocates its work arrays once: V, whose rows are the returned
+    vectors, T v and one scratch array.  A step of every block solves in
+    place in V, which T v's array keeps for a retry; a step of the blocks
+    that have not converged gathers them (:func:`_gathered`), so a
+    converged row of V is never written again.
 
     A real block's pair also carries the sign of its determinant, read off
     its first LU: det T = prod U_ii * (-1)^(row interchanges).
     """
-    sub, main, sup = T
-    k, d = main.shape
-    shifted = main.copy()  # the diagonal the LU is taken of, nudged where a solve failed
-    lu = _factor(sub, shifted, sup)
+    d = v.size
+    k = (S[1].size - 2) // d
+    shifted = S[1]  # the diagonal the LU is taken of, copied and nudged where a solve failed
+    lu = _factor(S)
     sign = np.zeros(k)
-    if not np.iscomplexobj(main):
+    if not np.iscomplexobj(S[1]):
         v = v.real / np.linalg.norm(v.real)
-        flips = np.count_nonzero(lu[1] < 0, axis=1) + np.count_nonzero(lu[4], axis=1)
-        sign = np.where(np.all(lu[1] != 0, axis=1), 1.0 - 2.0 * (flips % 2), 0.0)
+        dd, piv = _blocks(lu[1], d)[:k], _blocks(lu[4], d)[:k]
+        # ?gttrf's ipiv(i) is i or i + 1, so a block's row interchanges are
+        # the sum of ipiv(i) - i over its rows
+        swaps = piv.sum(axis=1) - (d * d * np.arange(k) + d * (d + 1) // 2)
+        flips = np.count_nonzero(dd < 0, axis=1) + swaps
+        sign = np.where(np.all(dd != 0, axis=1), 1.0 - 2.0 * (flips % 2), 0.0)
+    flat = np.zeros_like(S[1])  # V as a right-hand side of the system
+    V = flat[: k * d].reshape(k, d)
+    V[:] = v
+    TV, W = np.empty_like(V), np.empty_like(V)
+    mag = W.real
     stale = np.zeros(k, dtype=bool)  # nudged, to be refactored
-    V = np.tile(v, (k, 1))
     sigma = np.full(k, math.inf)
     steps = np.full(k, _MAX_STEPS)
     nudges = np.zeros(k, dtype=int)
@@ -372,31 +452,51 @@ def _inverse_iteration(T: Bands, v: np.ndarray, local=None) -> list[SingularPair
             break
         if stale.any():  # refactor the nudged blocks
             redo = np.flatnonzero(stale)
-            for x, new in zip(lu, _factor(sub[redo], shifted[redo], sup[redo])):
-                x[redo] = new
+            _move(lu, redo, _factor(_take([S[0], shifted, S[2]], redo, d)), np.arange(redo.size), d)
             stale[redo] = False
-        y, ok = _solve(lu, live, V[live])
+        inplace = live.size == k
+        if inplace:
+            TV[:] = V
+            ok = _solve(lu, flat, mag)
+            inplace = ok.all()
+            if not inplace:  # restore V, and the padding rows a NaN may have reached
+                flat[:] = 0.0
+                V[:] = TV
+        if not inplace:
+            y, ok = _gathered(lu, live, V, mag)
         bad = live[~ok]
         if bad.size:  # the solve failed: nudge the diagonal by roundoff
-            m = shifted[bad]
-            shifted[bad] = m + (1e-300 + 1e-16 * np.max(np.abs(m), axis=1))[:, None]
+            shifted = S[1].copy() if shifted is S[1] else shifted
+            m = _blocks(shifted, d)[bad]
+            _blocks(shifted, d)[bad] = m + (1e-300 + 1e-16 * np.max(np.abs(m), axis=1))[:, None]
             nudges[bad] += 1
             stale[bad] = True
         good = live[ok]
-        V[good] = y[ok]
-        new = _norms(_tri_matvec((sub[good], main[good], sup[good]), V[good]))
+        g = good.size
+        if inplace:  # every block: views, no gathers
+            Vg, Sg = V, S
+        else:
+            V[good] = y[ok]
+            Vg, Sg = V[good], [_blocks(x, d)[good].ravel() for x in S]
+        TVg = _matvec(Sg, Vg.ravel(), TV[:g].ravel(), W[:g].ravel()).reshape(g, d)
+        new = _norms(TVg)
         done = (it > 2) & (np.abs(new - sigma[good]) <= 1e-6 * np.maximum(new, 1e-300))
-        if local is not None:
-            done |= new <= _REFINE_ROUNDOFF * local(good, V[good])
+        if a is not None:
+            av = np.multiply(a, Vg, out=W[:g])
+            local = _norms(av)
+            av -= TVg  # lambda (B - beta) v
+            done |= new <= _REFINE_ROUNDOFF * (local + _norms(av))
         sigma[good] = new
         steps[good[done]] = it + 1
         converged[good[done]] = True
     live = np.flatnonzero(~converged)
-    sigma[live] = _norms(_tri_matvec((sub[live], main[live], sup[live]), V[live]))
+    if live.size:
+        Tv = _matvec([_blocks(x, d)[live].ravel() for x in S], V[live].ravel(), TV[: live.size].ravel(),
+                     W[: live.size].ravel())
+        sigma[live] = _norms(Tv.reshape(live.size, d))
     return [
-        SingularPair(float(sigma[j]), V[j], int(steps[j]), int(nudges[j]), bool(converged[j]),
-                     float(sign[j]))
-        for j in range(k)
+        SingularPair(*p)
+        for p in zip(sigma.tolist(), V, steps.tolist(), nudges.tolist(), converged.tolist(), sign.tolist())
     ]
 
 
@@ -426,6 +526,46 @@ def _local_scale(a: np.ndarray, b: Bands, lam: np.ndarray, v: np.ndarray) -> np.
     return _norms(a * v) + np.abs(lam) * _norms(_tri_matvec(b, v))
 
 
+def _real_bands(a: np.ndarray, b: Bands, lam: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Which shifts, one per row of lam, have a real
+    T(lambda) = (A - alpha) - lambda (B - beta), and the system
+    (:func:`_stack`) of those shifts' T(lambda), formed in real arithmetic.
+
+    Both come from the products numpy's complex multiply forms:
+    Re(lambda x) = lr Re x - li Im x and Im(lambda x) = lr Im x + li Re x.
+    numpy fuses the first product of each into its sum, which gives the
+    same bits wherever that product is exact, as it is on the imaginary
+    axis (lr = 0), where every real T(lambda) of the pencils here lies.
+    """
+    lr, li = lam.real, lam.imag
+    parts = [(x.real.copy(), x.imag.copy()) for x in b]
+    # Im(lambda x) vanishes wherever both of its products do; rounding is
+    # monotone, so both do for every entry of x when they do for its largest
+    # parts.  Other shifts are tested entry by entry.
+    real = np.ones(lam.size, dtype=bool)
+    for x, y in parts:
+        real &= (lr * abs(y).max(initial=0.0) == 0)[:, 0] & (li * abs(x).max(initial=0.0) == 0)[:, 0]
+    test = np.flatnonzero(~real)
+    if test.size:
+        r, s = lr[test], li[test]
+        real[test] = ~np.logical_or.reduce([np.any(r * y + s * x, axis=1) for x, y in parts])
+    rows = np.flatnonzero(real)
+    r, s = lr[rows], li[rows]
+    (b0r, b0i), (b1r, b1i), (b2r, b2i) = parts
+    d = a.size
+    S = _system(rows.size, d, float)
+    sub, main, sup = (_blocks(x, d)[: rows.size] for x in S)
+    sub, sup, w = sub[:, :-1], sup[:, :-1], np.empty_like(main)
+    np.multiply(s, b0i, out=sub)  # Re(-lambda b0)
+    sub -= np.multiply(r, b0r, out=w[:, :-1])
+    np.multiply(s, b2i, out=sup)  # Re(-lambda b2)
+    sup -= np.multiply(r, b2r, out=w[:, :-1])
+    np.multiply(r, b1r, out=w)  # a - Re(lambda b1)
+    w -= np.multiply(s, b1i, out=main)
+    np.subtract(a, w, out=main)
+    return real, S
+
+
 def _pencil_pairs(a: np.ndarray, b: Bands, lams: np.ndarray, v: np.ndarray) -> list[SingularPair]:
     """Smallest singular pair of T(lambda) = (A - alpha) - lambda (B - beta)
     for every lambda in ``lams``, by batched inverse iteration from unit v
@@ -433,26 +573,24 @@ def _pencil_pairs(a: np.ndarray, b: Bands, lams: np.ndarray, v: np.ndarray) -> l
     reaches roundoff of the local scale.
 
     A shift whose three bands of T(lambda) have no imaginary part runs in
-    real arithmetic, from the real part of v: on a sine pencil at beta = 0,
-    T(iS) has the off-diagonals -iS (+-i/2) = -+S/2 and the diagonal
-    A - alpha.  Every other shift runs in complex arithmetic.  The choice is
-    made per shift and each group is iterated on its own, so a shift's pair
-    does not depend on the other shifts of the call.
+    real arithmetic, from the real part of v (:func:`_real_bands`): on a
+    sine pencil at beta = 0, T(iS) has the off-diagonals -iS (+-i/2) = -+S/2
+    and the diagonal A - alpha.  Every other shift runs in complex
+    arithmetic.  The choice is made per shift and each group is iterated on
+    its own, so a shift's pair does not depend on the other shifts of the
+    call.
     """
     lams = np.asarray(lams, dtype=complex)
     pairs = [None] * lams.size
     for i in range(0, lams.size, _BATCH):
-        chunk = lams[i : i + _BATCH]
-        lam = chunk[:, None]
-        T = (-lam * b[0], a - lam * b[1], -lam * b[2])
-        real = ~np.logical_or.reduce([x.imag.any(axis=1) for x in T])
+        lam = lams[i : i + _BATCH, None]
+        real, S = _real_bands(a, b, lam)
         for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
             if rows.size == 0:
                 continue
-            Tr = tuple(x[rows].real if real[rows[0]] else x[rows] for x in T)
-            lr = chunk[rows]
-            found = _inverse_iteration(Tr, v, lambda r, V: _local_scale(a, b, lr[r], V))
-            for j, p in zip(rows, found):
+            if not real[rows[0]]:
+                S = _stack(-lam[rows] * b[0], a - lam[rows] * b[1], -lam[rows] * b[2])
+            for j, p in zip(rows, _iterate(S, v, a)):
                 pairs[i + j] = p
     return pairs
 
@@ -580,9 +718,9 @@ def uncertainty_floor(A: OperatorMatrix, alpha: float) -> tuple[float, AngularSt
     spectrum.  Between consecutive integers of the angular momentum this is
     sqrt(frac (1 - frac)), with maximum 1/2 at half-integer alpha.
     """
-    if OperatorId(A.id) not in _A_IDS:
+    if OperatorId(A.id) not in DIAGONAL_IDS:
         raise IncompatibleFamilyError("uncertainty floor needs a diagonal operator")
-    spec = np.real(np.diagonal(A.entries))
+    spec = A.data[0]
     if not (spec.min() - 1e-12 <= alpha <= spec.max() + 1e-12):
         raise OutOfRangeError(
             f"alpha={alpha} outside the truncated spectrum "

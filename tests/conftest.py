@@ -4,6 +4,8 @@ Matrix elements and moments are checked against Gauss-Legendre quadrature on
 (-pi, pi): the integrands are smooth on the open interval (including the
 discontinuous angle phi_p, which Gauss nodes never place at the seam), so a
 4096-point rule is exact to machine precision for every bandwidth used here.
+The band storage of the diagonal and tridiagonal operators is checked
+against the dense stencils it replaced.
 The number/phase squeezed states are checked against their closed-form
 Bessel branches, found by root bracketing without any pencil, the Newton
 gamma minimization against a derivative-free golden-section search, the banded
@@ -201,6 +203,22 @@ def oscillator_branches(alpha: float) -> list[float]:
     sign = np.sign(f(grid))
     changes = np.nonzero(sign[1:] != sign[:-1])[0]
     return [brentq(f, grid[k], grid[k + 1], xtol=1e-15) for k in changes]
+
+
+def dense_stencil(op_id: OperatorId, window: pl.ModeWindow) -> np.ndarray:
+    """The dense matrix of a diagonal or tridiagonal operator, built entry by
+    entry as the library built it before it stored these operators as
+    bands: the modes on the diagonal of L and N, and 1/2 (cos) or +i/2 above
+    and -i/2 below the diagonal (sin) for the stencils."""
+    if op_id in (OperatorId.ANGULAR_MOMENTUM, OperatorId.NUMBER):
+        return np.diag(window.modes.astype(complex))
+    d = window.dimension
+    half = 0.5j if op_id in (OperatorId.SIN_PHI, OperatorId.PHASE_SIN) else 0.5
+    entries = np.zeros((d, d), dtype=complex)
+    idx = np.arange(d - 1)
+    entries[idx, idx + 1] = half
+    entries[idx + 1, idx] = np.conj(half)
+    return entries
 
 
 def tridiagonal(bands) -> np.ndarray:

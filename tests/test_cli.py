@@ -94,6 +94,26 @@ def test_scan_csv_flags_integers(capsys):
     assert flags["-0.5"] == "0" and flags["0.5"] == "0"
 
 
+def test_two_mode_oscillator_window(capsys):
+    # M = 1 leaves the modes 0 and 1, where T(iS) is 2 x 2 with
+    # det T(iS) = S^2/4 - <N>(1 - <N>): one root at S = 2 sqrt(<N>(1 - <N>)),
+    # refined on single-shift blocks of two modes.  Half of its mass sits in
+    # the top mode, so it is not physical, and <N> = 0 has no root at all.
+    code, out, err = run(capsys, "pencil", "--family", "oscillator", "--alpha", "0.5", "-M", "1")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["eigenvalues"] == [[0.0, 1.0]]
+    assert payload["physical"] == [False]
+    code, out, err = run(
+        capsys,
+        "scan", "--family", "oscillator",
+        "--alpha-min", "0", "--alpha-max", "0.5", "--alpha-step", "0.5", "-M", "1",
+        "--output", "csv",
+    )
+    assert code == 0, err
+    assert out.strip().split("\n")[1:] == ["0,inf,0,0", "0.5,inf,0.5,0"]
+
+
 def test_floor_command(capsys):
     code, out, _ = run(capsys, "floor", "--alpha", "0.25", "--output", "csv")
     assert code == 0

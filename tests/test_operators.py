@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import packetlab as pl
-from conftest import gl_matrix_element
+from conftest import dense_stencil, gl_matrix_element
 
 SYM = pl.ModeWindow.symmetric
 LOW = pl.ModeWindow.bounded_below
@@ -186,3 +187,59 @@ def test_matrix_csv_dump():
         ("1", "0"): ("0", "-0.5"),
     }
     assert "-0" not in {field for row in rows for field in row}
+
+
+BANDED = [
+    pl.OperatorId.ANGULAR_MOMENTUM, pl.OperatorId.COS_PHI, pl.OperatorId.SIN_PHI,
+    pl.OperatorId.NUMBER, pl.OperatorId.PHASE_COS, pl.OperatorId.PHASE_SIN,
+]
+
+
+def window_of(op_id, M):
+    return SYM(M) if op_id in pl.operators.CIRCLE_IDS else LOW(M)
+
+
+@pytest.mark.parametrize("M", [1, 2, 64])
+@pytest.mark.parametrize("op_id", BANDED)
+def test_band_storage_matches_dense_stencil(op_id, M):
+    # L and N keep their real diagonal, the stencils their three diagonals;
+    # the dense matrix built from them is the old stencil bit for bit, the
+    # sign of every zero included
+    window = window_of(op_id, M)
+    op = pl.build(op_id, window)
+    d = window.dimension
+    diagonal = op_id in (pl.OperatorId.ANGULAR_MOMENTUM, pl.OperatorId.NUMBER)
+    assert [x.shape for x in op.data] == ([(d,)] if diagonal else [(d - 1,), (d,), (d - 1,)])
+    ref = dense_stencil(op_id, window)
+    assert op.entries.dtype == ref.dtype
+    assert op.entries.tobytes() == ref.tobytes()
+    # one shape per kind: the dense matrix is not a second way to store it
+    with pytest.raises(ValueError):
+        pl.OperatorMatrix(op_id, window, (ref,))
+
+
+# sha256 of write_matrix_csv at M = 16 as it was written while every
+# operator was stored dense
+CSV_SHA256 = {
+    "AngularMomentum": "ef55942a53185f0b64ec871024610832836c31b554b762cc1e0646ef02e5bc66",
+    "CosPhi": "c4d1122d983fad7c73b6f29e9af68d2dcb8d9f1570954cfc523149ace8f3a97a",
+    "SinPhi": "980a1b4bf0a383452ad1915ef750d83283816dd29ecbf903bfda3af510705626",
+    "PhiP": "011dcb4668f1fcaf7acd27501ccebfcd4513b52507bab3b0fab2eab62b61ef97",
+    "PhiPSquared": "8f0f034b3636dc34a9c925af6c548e1698357fee206a1f0a339b6d6841983d14",
+    "Number": "7049f8a974e5851e7798870259a89c0514c4d62cafd16ca2b6be07db6c4a4f1f",
+    "PhaseCos": "4837aaafece14ab53ef7e90145e998287c45eebe32e95374aa6e62dac1aeb29c",
+    "PhaseSin": "efd9e105fd1a58687ee72cc61e1504069765ca2286bd37c20b9b206a0b651171",
+}
+
+
+@pytest.mark.parametrize("op_id", list(pl.OperatorId))
+def test_matrix_csv_bytes_unchanged(op_id):
+    buf = io.StringIO()
+    pl.write_matrix_csv(pl.build(op_id, window_of(op_id, 16)), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CSV_SHA256[op_id.value]
+    # and the banded kinds write the nonzero entries of the dense stencil
+    if op_id in BANDED:
+        window = window_of(op_id, 16)
+        m, e = window.modes, dense_stencil(op_id, window)
+        rows = [f"{m[i]},{m[j]},{e[i, j].real:.17g},{e[i, j].imag:.17g}" for i, j in zip(*np.nonzero(e))]
+        assert buf.getvalue().splitlines()[2:] == rows

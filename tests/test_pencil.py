@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,28 @@ def test_pencil_pairs_independent_of_batch(family, alpha):
         assert np.array_equal(p.vector, q.vector)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_handles_blocks_under_three_modes(d):
+    # scipy's ?gttrf/?gttrs take no system under three rows; the stack pads
+    # with decoupled identity rows, so blocks of one and two modes iterate
+    # alone and in a batch (sigma stops on its 1e-6 relative change here, so
+    # it is checked against dense SVD to 1e-8)
+    rng = np.random.default_rng(d)
+    sub, main, sup = rng.standard_normal(d - 1), rng.standard_normal(d) + 2.0, rng.standard_normal(d - 1)
+    dense = tridiagonal((sub, main, sup))
+    sigma_ref, v_ref = dense_smallest_singular_pair(dense)
+    pair = pl.smallest_singular_pair((sub, main, sup))
+    assert pair.converged
+    assert pair.sigma == pytest.approx(sigma_ref, rel=1e-8)
+    assert pair.sigma == pytest.approx(np.linalg.norm(dense @ pair.vector), rel=1e-12)
+    assert abs(np.dot(pair.vector, v_ref)) >= 1 - 1e-8
+    batched = pp._inverse_iteration((np.tile(sub, (3, 1)), np.tile(main, (3, 1)), np.tile(sup, (3, 1))),
+                                    pp._start_vector(d))
+    for p in batched:
+        assert (p.sigma, p.steps) == (pair.sigma, pair.steps)
+        assert np.array_equal(p.vector, pair.vector)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_real_kernel_matches_dense_svd(seed):
     # a real tridiagonal with real spectrum (sub * sup > 0, so it is similar
@@ -296,6 +320,33 @@ def test_circle_flags_independent_of_truncation():
     for M in (64, 128, 512):
         scan = pl.quantization_scan("circle", alphas, M=M)
         assert list(scan.flagged_alphas()) == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
+def test_quantization_independent_of_truncation():
+    # nothing on the scan path is d x d, so M can grow to 4096 (8193 modes;
+    # one dense complex operator there would take 1.07 GB): the circle flags
+    # stay exactly the integers, and the oscillator branch roots stay on the
+    # closed form (measured at M = 4096: 1.1e-16 and 4.4e-16)
+    for M in (64, 256, 1024, 4096):
+        scan = pl.quantization_scan("circle", [-1.0, -0.5, 0.0, 0.3, 1.0], M=M)
+        assert list(scan.flagged_alphas()) == [-1.0, 0.0, 1.0]
+    for alpha in (0.25, 2.5):
+        sol = pl.solve_pencil(pl.oscillator_problem(alpha, M=4096))
+        (s_exact,) = oscillator_branches(alpha)
+        assert sol.n == 1 and not sol.swept[0] and sol.physical[0]
+        assert abs(sol.eigenvalues[0].imag - s_exact) <= 1e-13
+
+
+def test_scan_point_memory_is_linear_in_truncation():
+    # one circle point at M = 4096 peaks at 59 MB of traced memory (the
+    # sweep's (80, 8193) work arrays and certificate)
+    tracemalloc.start()
+    try:
+        pl.quantization_scan("circle", [0.3], M=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160e6
 
 
 def test_refined_roots_match_complex_qz():
