@@ -15,23 +15,24 @@ stencils):
 
 * The kernel.  The smallest singular pair (sigma, v) of the tridiagonal
   T(lambda) = (A - alpha) - lambda (B - beta) comes from inverse iteration
-  on (T^H T)^{-1} with one LU factorization of T per shift (LAPACK ?gttrf,
-  then ?gttrs with T^H and with T); sigma = ||T v|| is a banded product.
-  All shifts of one pencil iterate together: their tridiagonals are stacked
+  on (T^H T)^{-1} with an LU factorization of T (LAPACK ?gttrf, then
+  ?gttrs with T^H and with T); sigma = ||T v|| is a banded product.  All
+  shifts of one pencil iterate together: their tridiagonals are stacked
   into one block-diagonal tridiagonal with zero couplings, so one ?gttrf
-  call factors every shift, two ?gttrs calls per step serve every shift
-  still iterating, and each block gets the same LU, steps and result as a
-  separate iteration would.  A shift whose T(lambda) has no imaginary part
-  runs in real arithmetic (dgttrf/dgttrs, real vectors), every other one in
-  complex (zgttrf/zgttrs).  On the sine pencils at beta = 0 that is every
-  point of the imaginary axis: -iS (+-i/2) = -+S/2 off the diagonal, and
-  the diagonal is A - alpha.  Nothing on this path is d x d: the operators
-  are stored as their bands, a real shift's bands are formed in ?gttrf's
-  flat layout straight from the real and imaginary parts of lambda and
-  B - beta, and each call allocates its work arrays once, so a step of
-  every shift runs in place (?gttrs overwrites its right-hand side) with no
-  gathers.  The stopping rule's local scale comes from the step's own T v,
-  since |lambda| ||(B - beta)v|| = ||(A - alpha)v - T v||.
+  call factors every shift and two ?gttrs calls per step serve every
+  shift, and each block gets the same LU, steps and result as a separate
+  iteration would.  The shifts that converge leave the stack, which is
+  factored again without them.  A shift whose T(lambda) has no imaginary
+  part runs in real arithmetic (dgttrf/dgttrs, real vectors), every other
+  one in complex (zgttrf/zgttrs).  On the sine pencils at beta = 0 that is
+  every point of the imaginary axis: -iS (+-i/2) = -+S/2 off the
+  diagonal, and the diagonal is A - alpha.  Nothing on this path is
+  d x d: the operators are stored as their bands, a real shift's bands
+  are formed in ?gttrf's flat layout straight from the real and imaginary
+  parts of lambda and B - beta, and a step runs in place (?gttrs
+  overwrites its right-hand side) with no gathers.  The stopping rule's
+  local scale comes from the step's own T v, since
+  |lambda| ||(B - beta)v|| = ||(A - alpha)v - T v||.
 * The imaginary-axis sweep.  For a grid of S values the kernel certifies
   (iS, v) as an eigenpair whenever its residual is at working precision,
   sigma <= SWEEP_RTOL * (||(A - alpha)v|| + S ||(B - beta)v||).  The scale is
@@ -300,23 +301,12 @@ def _stack(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> list[np.ndarra
     return S
 
 
-def _move(dst: list[np.ndarray], at: np.ndarray, src: list[np.ndarray], rows: np.ndarray, d: int) -> None:
-    """Copy the blocks ``rows`` of the system or LU ``src`` into the blocks
-    ``at`` of ``dst``, with any pivots rebased to their new rows."""
-    for x, y in zip(dst[:4], src[:4]):
-        _blocks(x, d)[at] = _blocks(y, d)[rows]
-    if len(src) > 4:
-        _blocks(dst[4], d)[at] = _blocks(src[4], d)[rows] + (d * (at - rows))[:, None]
-
-
-def _take(src: list[np.ndarray], rows: np.ndarray, d: int) -> list[np.ndarray]:
-    """The blocks ``rows`` of the system or LU ``src`` as one of their own."""
-    r = rows.size
-    dst = _system(r, d, src[1].dtype)
-    if len(src) > 4:
-        dst += [np.zeros(r * d, dtype=src[1].dtype), np.arange(1, r * d + 3, dtype=np.int32)]
-    _move(dst, np.arange(r), src, rows, d)
-    return dst
+def _select(S: list[np.ndarray], keep: np.ndarray, d: int) -> list[np.ndarray]:
+    """The system of the blocks ``keep`` (indices) of the system S."""
+    out = _system(keep.size, d, S[1].dtype)
+    for x, y in zip(out, S):
+        _blocks(x, d)[: keep.size] = _blocks(y, d)[keep]
+    return out
 
 
 def _matvec(S: list[np.ndarray], v: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -349,7 +339,8 @@ def _factor(S: list[np.ndarray]) -> list[np.ndarray]:
 def _solve(lu: list[np.ndarray], y: np.ndarray, mag: np.ndarray) -> np.ndarray:
     """y <- (T^H T)^{-1} y in place, for the flat right-hand side y of the
     LU ``lu`` (:func:`_factor`) and one block per row of the real work
-    array ``mag``.
+    array ``mag``.  y must be contiguous and of the LU's dtype, or ?gttrs
+    would solve into a copy; ValueError otherwise.
 
     ?gttrs runs with T^H, then with T, in the factors' arithmetic (for a
     real T, dgttrs reads trans="C" as T^T, which is T^H), and each block is
@@ -363,31 +354,12 @@ def _solve(lu: list[np.ndarray], y: np.ndarray, mag: np.ndarray) -> np.ndarray:
     gttrs = get_lapack_funcs("gttrs", (lu[1],))
     k, d = mag.shape
     for trans in ("C", "N"):
-        gttrs(*lu, y, trans=trans, overwrite_b=1)
+        if gttrs(*lu, y, trans=trans, overwrite_b=1)[0] is not y:
+            raise ValueError(f"?gttrs needs a contiguous {lu[1].dtype} right-hand side to solve in place")
         ok = _unit_rows(y[: k * d].reshape(k, d), mag)
         if not ok.all():
             break
     return ok
-
-
-def _gathered(lu: list[np.ndarray], rows: np.ndarray, V: np.ndarray,
-              mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T^H T)^{-1} v for the blocks ``rows`` of the LU ``lu``, one v per
-    row of V, gathered into a system of their own: (y, ok) as
-    :func:`_solve` has them, one row of y per block.  A zero coupling times
-    a non-finite entry is NaN, so one failed block spoils the others: the
-    blocks are then solved again one by one."""
-    r, d = rows.size, V.shape[1]
-    f = _take(lu, rows, d)
-    y = np.zeros_like(f[1])
-    y[: r * d] = V[rows].ravel()
-    ok = _solve(f, y, mag[:r])
-    y = y[: r * d].reshape(r, d)
-    if not ok.all() and r > 1:
-        for j in range(r):
-            yj, okj = _gathered(lu, rows[j : j + 1], V, mag)
-            y[j], ok[j] = yj[0], okj[0]
-    return y, ok
 
 
 def _inverse_iteration(T: Bands, v: np.ndarray, a: np.ndarray | None = None) -> list[SingularPair]:
@@ -401,31 +373,31 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
     the system S (:func:`_stack`), in its arithmetic; a real system starts
     from the real part of v, normalized.
 
-    Every block is factored once (:func:`_factor`), and each step solves
-    T^H z = v and then T y = z for all blocks still iterating at once
-    (:func:`_solve`).  A block whose solve fails (it overflows or vanishes,
-    as it always does when its U has an exact zero on the diagonal) has its
-    diagonal shifted by roundoff and is refactored: an LU nudge, which uses
-    up a step of that block alone.  A block has converged when
-    sigma = ||T v|| changes by at most 1e-6 relative after the fourth step
-    or, given ``a`` (the real diagonal of A - alpha that
+    Each step solves T^H z = v and then T y = z for every block of the
+    system at once, in place (:func:`_solve`), and forms T v.  A block has
+    converged when sigma = ||T v|| changes by at most 1e-6 relative after
+    the fourth step or, given ``a`` (the real diagonal of A - alpha that
     T = (A - alpha) - lambda (B - beta) was formed from), when sigma is at
     roundoff of local = ||(A - alpha)v|| + |lambda| ||(B - beta)v||, read
-    off the step's own T v as ||a v|| + ||a v - T v||.  Each step iterates
-    only the blocks that have not converged.
+    off the step's own T v as ||a v|| + ||a v - T v||.  The blocks that
+    converge leave the system: it shrinks to the others, in a V of their
+    own, and is factored again (:func:`_factor`), which gives each block
+    the LU a call with that block alone gives it.  A converged row of V is
+    never written again, and the returned vectors are those rows.
 
-    The call allocates its work arrays once: V, whose rows are the returned
-    vectors, T v and one scratch array.  A step of every block solves in
-    place in V, which T v's array keeps for a retry; a step of the blocks
-    that have not converged gathers them (:func:`_gathered`), so a
-    converged row of V is never written again.
+    A failed solve (a block's solve overflows or vanishes, as it always
+    does when its U has an exact zero on the diagonal) can spoil the blocks
+    next to it, because a zero coupling times a non-finite entry is NaN, so
+    V is restored and the step is taken again block by block.  A block
+    whose solve failed on its own has its diagonal shifted by roundoff and
+    the system is factored again: an LU nudge, which uses up a step of that
+    block alone.
 
     A real block's pair also carries the sign of its determinant, read off
     its first LU: det T = prod U_ii * (-1)^(row interchanges).
     """
     d = v.size
     k = (S[1].size - 2) // d
-    shifted = S[1]  # the diagonal the LU is taken of, copied and nudged where a solve failed
     lu = _factor(S)
     sign = np.zeros(k)
     if not np.iscomplexobj(S[1]):
@@ -436,67 +408,74 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
         swaps = piv.sum(axis=1) - (d * d * np.arange(k) + d * (d + 1) // 2)
         flips = np.count_nonzero(dd < 0, axis=1) + swaps
         sign = np.where(np.all(dd != 0, axis=1), 1.0 - 2.0 * (flips % 2), 0.0)
+    F = S  # the system factored: S, with its diagonal nudged where a solve failed
+    rows = np.arange(k)  # the shift of each block of S: those still iterating
     flat = np.zeros_like(S[1])  # V as a right-hand side of the system
     V = flat[: k * d].reshape(k, d)
     V[:] = v
     TV, W = np.empty_like(V), np.empty_like(V)
-    mag = W.real
-    stale = np.zeros(k, dtype=bool)  # nudged, to be refactored
+    vectors = [None] * k
     sigma = np.full(k, math.inf)
     steps = np.full(k, _MAX_STEPS)
     nudges = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     for it in range(_MAX_STEPS):
-        live = np.flatnonzero(~converged)
-        if live.size == 0:
-            break
-        if stale.any():  # refactor the nudged blocks
-            redo = np.flatnonzero(stale)
-            _move(lu, redo, _factor(_take([S[0], shifted, S[2]], redo, d)), np.arange(redo.size), d)
-            stale[redo] = False
-        inplace = live.size == k
-        if inplace:
-            TV[:] = V
-            ok = _solve(lu, flat, mag)
-            inplace = ok.all()
-            if not inplace:  # restore V, and the padding rows a NaN may have reached
-                flat[:] = 0.0
-                V[:] = TV
-        if not inplace:
-            y, ok = _gathered(lu, live, V, mag)
-        bad = live[~ok]
-        if bad.size:  # the solve failed: nudge the diagonal by roundoff
-            shifted = S[1].copy() if shifted is S[1] else shifted
-            m = _blocks(shifted, d)[bad]
-            _blocks(shifted, d)[bad] = m + (1e-300 + 1e-16 * np.max(np.abs(m), axis=1))[:, None]
-            nudges[bad] += 1
-            stale[bad] = True
-        good = live[ok]
-        g = good.size
-        if inplace:  # every block: views, no gathers
-            Vg, Sg = V, S
-        else:
-            V[good] = y[ok]
-            Vg, Sg = V[good], [_blocks(x, d)[good].ravel() for x in S]
-        TVg = _matvec(Sg, Vg.ravel(), TV[:g].ravel(), W[:g].ravel()).reshape(g, d)
-        new = _norms(TVg)
-        done = (it > 2) & (np.abs(new - sigma[good]) <= 1e-6 * np.maximum(new, 1e-300))
+        if lu is None:
+            lu = _factor(F)
+        TV[:] = V
+        ok = _solve(lu, flat, W.real)
+        if not ok.all():  # restore V and solve block by block
+            flat[:] = 0.0
+            V[:] = TV
+            for j in range(rows.size):
+                f = _select(F, np.array([j]), d)
+                y = np.zeros_like(f[1])
+                y[:d] = V[j]
+                ok[j] = _solve(_factor(f), y, W.real[:1])[0]
+                if ok[j]:
+                    V[j] = y[:d]
+            bad = np.flatnonzero(~ok)
+            if bad.size:  # the solve failed: nudge the diagonal by roundoff
+                F = [S[0], S[1].copy(), S[2]] if F is S else F
+                m = _blocks(F[1], d)[bad]
+                _blocks(F[1], d)[bad] = m + (1e-300 + 1e-16 * np.max(np.abs(m), axis=1))[:, None]
+                nudges[rows[bad]] += 1
+                lu = None
+        _matvec(S, V.ravel(), TV.ravel(), W.ravel())
+        new = _norms(TV)
+        done = ok & (it > 2) & (np.abs(new - sigma[rows]) <= 1e-6 * np.maximum(new, 1e-300))
         if a is not None:
-            av = np.multiply(a, Vg, out=W[:g])
+            av = np.multiply(a, V, out=W)
             local = _norms(av)
-            av -= TVg  # lambda (B - beta) v
-            done |= new <= _REFINE_ROUNDOFF * (local + _norms(av))
-        sigma[good] = new
-        steps[good[done]] = it + 1
-        converged[good[done]] = True
-    live = np.flatnonzero(~converged)
-    if live.size:
-        Tv = _matvec([_blocks(x, d)[live].ravel() for x in S], V[live].ravel(), TV[: live.size].ravel(),
-                     W[: live.size].ravel())
-        sigma[live] = _norms(Tv.reshape(live.size, d))
+            av -= TV  # lambda (B - beta) v
+            done |= ok & (new <= _REFINE_ROUNDOFF * (local + _norms(av)))
+        sigma[rows[ok]] = new[ok]
+        if not done.any():
+            continue
+        steps[rows[done]] = it + 1
+        converged[rows[done]] = True
+        for j in np.flatnonzero(done):
+            vectors[rows[j]] = V[j]
+        # drop the converged blocks: the system shrinks to the others
+        keep = np.flatnonzero(~done)
+        rows, r = rows[keep], keep.size
+        if r == 0:
+            break
+        nudged = F is not S
+        S = _select(S, keep, d)
+        F = _select(F, keep, d) if nudged else S
+        flat = np.zeros_like(S[1])
+        flat[: r * d] = V[keep].ravel()
+        V, TV, W = flat[: r * d].reshape(r, d), TV[:r], W[:r]
+        lu = None
+    if rows.size:
+        _matvec(S, V.ravel(), TV.ravel(), W.ravel())
+        sigma[rows] = _norms(TV)
+        for j, i in enumerate(rows):
+            vectors[i] = V[j]
     return [
         SingularPair(*p)
-        for p in zip(sigma.tolist(), V, steps.tolist(), nudges.tolist(), converged.tolist(), sign.tolist())
+        for p in zip(sigma.tolist(), vectors, steps.tolist(), nudges.tolist(), converged.tolist(), sign.tolist())
     ]
 
 
@@ -533,22 +512,21 @@ def _real_bands(a: np.ndarray, b: Bands, lam: np.ndarray) -> tuple[np.ndarray, l
 
     Both come from the products numpy's complex multiply forms:
     Re(lambda x) = lr Re x - li Im x and Im(lambda x) = lr Im x + li Re x.
-    numpy fuses the first product of each into its sum, which gives the
-    same bits wherever that product is exact, as it is on the imaginary
+    A shift is real when both products of Im(lambda x) vanish for every
+    entry x of every band, which, rounding being monotone, is when they
+    vanish for the band's largest real and imaginary parts.  Each band of
+    B - beta here is wholly real or wholly imaginary, so one of the two
+    products is always zero and the rule is exactly Im(lambda x) = 0; a
+    shift it leaves out runs in complex arithmetic, which is still correct.
+    numpy fuses the first product of Re(lambda x) into its sum, which gives
+    the same bits wherever that product is exact, as it is on the imaginary
     axis (lr = 0), where every real T(lambda) of the pencils here lies.
     """
     lr, li = lam.real, lam.imag
     parts = [(x.real.copy(), x.imag.copy()) for x in b]
-    # Im(lambda x) vanishes wherever both of its products do; rounding is
-    # monotone, so both do for every entry of x when they do for its largest
-    # parts.  Other shifts are tested entry by entry.
     real = np.ones(lam.size, dtype=bool)
     for x, y in parts:
         real &= (lr * abs(y).max(initial=0.0) == 0)[:, 0] & (li * abs(x).max(initial=0.0) == 0)[:, 0]
-    test = np.flatnonzero(~real)
-    if test.size:
-        r, s = lr[test], li[test]
-        real[test] = ~np.logical_or.reduce([np.any(r * y + s * x, axis=1) for x, y in parts])
     rows = np.flatnonzero(real)
     r, s = lr[rows], li[rows]
     (b0r, b0i), (b1r, b1i), (b2r, b2i) = parts
