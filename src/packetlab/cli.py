@@ -186,11 +186,11 @@ def _cmd_pencil(args) -> int:
     problem = pencil_mod._family_problem(args.family, args.alpha, args.beta, args.truncation)
     sol = pencil_mod.solve_pencil(problem)
     if args.output == "csv":
-        rows = ["re,im,axisDistance,tailMass,residual,physical"]
+        rows = ["re,im,tailMass,residual,physical"]
         for i in range(sol.n):
             z = sol.eigenvalues[i]
             rows.append(
-                f"{_f17(z.real)},{_f17(z.imag)},{_f17(abs(z.real))},"
+                f"{_f17(z.real)},{_f17(z.imag)},"
                 f"{_f17(sol.tail_masses[i])},{_f17(sol.residuals[i])},{int(sol.physical[i])}"
             )
         _emit("\n".join(rows), args.out)
@@ -200,7 +200,6 @@ def _cmd_pencil(args) -> int:
             "alpha": args.alpha,
             "beta": args.beta,
             "eigenvalues": [[float(z.real), float(z.imag)] for z in sol.eigenvalues],
-            "axisDistance": [float(x) for x in sol.axis_distances],
             "tailMass": [float(x) for x in sol.tail_masses],
             "residual": [float(x) for x in sol.residuals],
             "physical": [bool(x) for x in sol.physical],

@@ -30,7 +30,8 @@ the four cos/sin stencils as their sub-, main and super-diagonals, and only
 phi_p and phi_p^2, which are full, as dense matrices.  So a pencil of a
 diagonal and a tridiagonal operator costs O(d) memory at any truncation, and
 ``entries`` builds the dense matrix only for the callers that need it
-(``apply``, ``expectation``, ``commutator``, ``write_matrix_csv``).
+(``apply``, ``expectation``, ``commutator``); ``write_matrix_csv`` reads
+the bands.
 """
 
 from __future__ import annotations
@@ -189,10 +190,17 @@ def write_matrix_csv(op: OperatorMatrix, fh: IO[str]) -> None:
     header = {"id": op.id.value, "kind": op.window.kind.value, "M": op.window.M}
     fh.write(json.dumps(header) + "\n")
     fh.write("i,j,re,im\n")
+    if op.data[0].ndim == 2:  # phi_p, phi_p^2
+        i, j = np.nonzero(op.data[0])
+        z = op.data[0][i, j]
+    else:  # from the bands, never densified: row i holds columns i - 1, i, i + 1
+        bands = np.zeros((op.window.dimension, 3), dtype=complex)
+        if op.id in DIAGONAL_IDS:
+            bands[:, 1] = op.data[0]
+        else:
+            bands[1:, 0], bands[:, 1], bands[:-1, 2] = op.data
+        i, k = np.nonzero(bands)
+        j, z = i + k - 1, bands[i, k]
     modes = op.window.modes
-    entries = op.entries
-    for i in range(entries.shape[0]):
-        for j in range(entries.shape[1]):
-            z = entries[i, j]
-            if z != 0:
-                fh.write(f"{modes[i]},{modes[j]},{z.real:.17g},{z.imag:.17g}\n")
+    for m, n, x in zip(modes[i].tolist(), modes[j].tolist(), z.tolist()):
+        fh.write(f"{m},{n},{x.real:.17g},{x.imag:.17g}\n")

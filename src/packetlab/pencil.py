@@ -30,13 +30,15 @@ stencils):
   d x d: the operators are stored as their bands, a real shift's bands
   are formed in ?gttrf's flat layout straight from the real and imaginary
   parts of lambda and B - beta, and a step runs in place (?gttrs
-  overwrites its right-hand side) with no gathers.  The stopping rule's
-  local scale comes from the step's own T v, since
-  |lambda| ||(B - beta)v|| = ||(A - alpha)v - T v||.
+  overwrites its right-hand side) with no gathers.  The local scale
+  local = ||(A - alpha)v|| + |lambda| ||(B - beta)v|| comes from the step's
+  own T v, since |lambda| ||(B - beta)v|| = ||(A - alpha)v - T v||, and
+  each pair carries the local of its returned vector next to its sigma.
 * The imaginary-axis sweep.  For a grid of S values the kernel certifies
   (iS, v) as an eigenpair whenever its residual is at working precision,
-  sigma <= SWEEP_RTOL * (||(A - alpha)v|| + S ||(B - beta)v||).  The scale is
-  local to v and does not depend on the truncation M; a global scale such as
+  sigma <= SWEEP_RTOL * local, with the kernel's own local: the stopping
+  rule and the certificate read one scale.  The scale is local to v and
+  does not depend on the truncation M; a global scale such as
   max|diag(A - alpha)| = M - alpha for the number operator would let the
   certificate loosen as M grows.
 * The axis roots.  Where T(iS) is real, det T(iS) is a real function of S,
@@ -71,9 +73,11 @@ double precision.  So n = 3 is the last integer whose defect can be resolved,
 and integer <N> >= 4 still certify small-S families: no floating-point
 certificate can tell them from exact states.
 
-Eigenvalue classification is reported, never silently applied: every returned
-pair carries its residual, the tail mass of its eigenvector and whether its
-inverse iteration converged.
+Every returned eigenvalue is exactly iS, so no test of the distance to the
+imaginary axis is left: a pair is physical when S lies in S_WINDOW and its
+eigenvector's tail mass is below TAIL_TOL.  Eigenvalue classification is
+reported, never silently applied: every returned pair carries its residual,
+the tail mass of its eigenvector and whether its inverse iteration converged.
 """
 
 from __future__ import annotations
@@ -99,7 +103,6 @@ from .states import TAIL_TOL, AngularState, ModeWindow, tail_mass
 # tolerance, and no artifact repeats it.  Its tail-mass bound TAIL_TOL lives
 # in states, next to the tail-mass rule, and f_table shares it.
 S_WINDOW = (0.1, 8.0)
-IMAG_AXIS_RTOL = 1e-8
 SWEEP_RTOL = 1e-12
 SWEEP_POINTS = 80
 
@@ -114,6 +117,17 @@ _BATCH = 256
 _START_SEED = 12345
 
 Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (sub, main, super) diagonals
+
+
+def _check_spectrum(A: OperatorMatrix, alpha: float) -> None:
+    """OutOfRangeError unless alpha lies in [min a, max a] (to 1e-12) for
+    the diagonal A: no state has <A> outside its truncated spectrum."""
+    spec = A.data[0]
+    if not (spec.min() - 1e-12 <= alpha <= spec.max() + 1e-12):
+        raise OutOfRangeError(
+            f"alpha={alpha} outside the truncated spectrum "
+            f"[{spec.min()}, {spec.max()}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -138,6 +152,7 @@ class PencilProblem:
             )
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
+        _check_spectrum(self.A, self.alpha)
         if abs(self.beta) >= 1.0:
             raise ValueError(
                 f"|beta| must be < 1 (the coordinate spectrum is [-1, 1]), got {self.beta}"
@@ -201,17 +216,12 @@ class PencilSolution:
     residuals: np.ndarray          # ||(A-a)v - lambda (B-b)v||_2
     tail_masses: np.ndarray
     swept: np.ndarray              # True for a sweep grid certificate, False for a refined root
-    candidate: np.ndarray          # bool: Im lambda in S_WINDOW, tail mass below TAIL_TOL
-    physical: np.ndarray           # bool: a candidate on the imaginary axis
+    physical: np.ndarray           # bool: Im lambda in S_WINDOW, tail mass below TAIL_TOL
     converged: np.ndarray          # bool: the pair's inverse iteration converged
 
     @property
     def n(self) -> int:
         return int(self.eigenvalues.size)
-
-    @property
-    def axis_distances(self) -> np.ndarray:
-        return np.abs(self.eigenvalues.real)
 
     def state(self, i: int) -> AngularState:
         v = self.vectors[:, i]
@@ -231,15 +241,7 @@ class SingularPair(NamedTuple):
     nudges: int           # diagonal shifts of an LU whose solve failed
     converged: bool       # a stopping rule was met before the step cap
     sign: float = 0.0     # sign of det T off its first LU; 0 if T is complex or U singular
-
-
-def _tri_matvec(bands: Bands, v: np.ndarray) -> np.ndarray:
-    """T v for the tridiagonal bands; 2-D bands or v hold one block per row."""
-    sub, main, sup = bands
-    y = main * v
-    y[..., :-1] += sup * v[..., 1:]
-    y[..., 1:] += sub * v[..., :-1]
-    return y
+    local: float = math.nan  # ||(A - alpha)v|| + |lambda| ||(B - beta)v|| of a pencil's T(lambda)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -379,7 +381,9 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
     the fourth step or, given ``a`` (the real diagonal of A - alpha that
     T = (A - alpha) - lambda (B - beta) was formed from), when sigma is at
     roundoff of local = ||(A - alpha)v|| + |lambda| ||(B - beta)v||, read
-    off the step's own T v as ||a v|| + ||a v - T v||.  The blocks that
+    off the step's own T v as ||a v|| + ||a v - T v||.  Each pair carries
+    the sigma and, given ``a``, the local of its returned vector (NaN
+    otherwise), the step cap's rows included.  The blocks that
     converge leave the system: it shrinks to the others, in a V of their
     own, and is factored again (:func:`_factor`), which gives each block
     the LU a call with that block alone gives it.  A converged row of V is
@@ -416,6 +420,7 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
     TV, W = np.empty_like(V), np.empty_like(V)
     vectors = [None] * k
     sigma = np.full(k, math.inf)
+    local = np.full(k, math.nan)
     steps = np.full(k, _MAX_STEPS)
     nudges = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
@@ -446,9 +451,11 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
         done = ok & (it > 2) & (np.abs(new - sigma[rows]) <= 1e-6 * np.maximum(new, 1e-300))
         if a is not None:
             av = np.multiply(a, V, out=W)
-            local = _norms(av)
+            scale = _norms(av)
             av -= TV  # lambda (B - beta) v
-            done |= ok & (new <= _REFINE_ROUNDOFF * (local + _norms(av)))
+            scale += _norms(av)
+            done |= ok & (new <= _REFINE_ROUNDOFF * scale)
+            local[rows] = scale  # every row's V, restored or not, as T v is
         sigma[rows[ok]] = new[ok]
         if not done.any():
             continue
@@ -475,7 +482,7 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
             vectors[i] = V[j]
     return [
         SingularPair(*p)
-        for p in zip(sigma.tolist(), vectors, steps.tolist(), nudges.tolist(), converged.tolist(), sign.tolist())
+        for p in zip(sigma.tolist(), vectors, *(x.tolist() for x in (steps, nudges, converged, sign, local)))
     ]
 
 
@@ -498,11 +505,6 @@ def smallest_singular_pair(T: Bands) -> SingularPair:
     dtype = complex if any(np.iscomplexobj(x) for x in T) else float
     sub, main, sup = (np.atleast_2d(np.asarray(x, dtype=dtype)) for x in T)
     return _inverse_iteration((sub, main, sup), _start_vector(main.shape[1]))[0]
-
-
-def _local_scale(a: np.ndarray, b: Bands, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """||(A - alpha)v|| + |lambda| ||(B - beta)v||, per row of v."""
-    return _norms(a * v) + np.abs(lam) * _norms(_tri_matvec(b, v))
 
 
 def _real_bands(a: np.ndarray, b: Bands, lam: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -600,7 +602,7 @@ def _refine_root(a: np.ndarray, b: Bands, v: np.ndarray, lo: float, hi: float,
     for _ in range(_MAX_STEPS):
         x = hi - fhi * (hi - lo) / (fhi - flo)
         (p,) = _pencil_pairs(a, b, [1j * x], v)
-        rel = p.sigma / _local_scale(a, b, np.array([1j * x]), p.vector[None])[0]
+        rel = p.sigma / p.local
         best = min(best, (rel, x, p), key=lambda t: t[0])
         if rel <= _REFINE_ROUNDOFF:
             break
@@ -633,7 +635,7 @@ def _sweep_pairs(a: np.ndarray, b: Bands) -> tuple[np.ndarray, list, np.ndarray]
     v = _start_vector(a.size)
     pairs = _pencil_pairs(a, b, 1j * s, v)
     sigma = np.array([p.sigma for p in pairs])
-    local = _local_scale(a, b, 1j * s, np.array([p.vector for p in pairs], dtype=complex))
+    local = np.array([p.local for p in pairs])
     certified = sigma <= SWEEP_RTOL * local
     f = np.array([p.sign for p in pairs]) * sigma / local
     ends = np.flatnonzero(~certified[:-1] & ~certified[1:] & (f[:-1] * f[1:] < 0))
@@ -653,11 +655,10 @@ def solve_pencil(problem: PencilProblem, *, axis_sweep: bool = True) -> PencilSo
     sigma <= SWEEP_RTOL * (||(A-alpha)v|| + S ||(B-beta)v||), a scale
     independent of the truncation M.  Integer <N> >= 4 of the number/phase
     family still certify, because their boundary defect is below double
-    precision.  ``candidate`` flags the pairs with Im lambda inside S_WINDOW
-    and eigenvector tail mass below TAIL_TOL, ``physical`` the candidates
-    with |Re lambda| <= IMAG_AXIS_RTOL * (1 + |lambda|).  ``converged``
-    records, per pair, whether its inverse iteration met a stopping rule
-    within its step cap.
+    precision.  Every eigenvalue is exactly iS, so ``physical`` flags the
+    pairs with S inside S_WINDOW and eigenvector tail mass below TAIL_TOL.
+    ``converged`` records, per pair, whether its inverse iteration met a
+    stopping rule within its step cap.
 
     Raises
     ------
@@ -670,8 +671,6 @@ def solve_pencil(problem: PencilProblem, *, axis_sweep: bool = True) -> PencilSo
     w, swept, pairs = w[order], swept[order], [pairs[j] for j in order]
     V = np.array([p.vector for p in pairs], dtype=complex).reshape(w.size, problem.window.dimension).T
     tails = tail_mass(V, problem.window)
-    candidate = (w.imag >= S_WINDOW[0]) & (w.imag <= S_WINDOW[1]) & (tails < TAIL_TOL)
-    physical = candidate & (np.abs(w.real) <= IMAG_AXIS_RTOL * (1.0 + np.abs(w)))
     return PencilSolution(
         problem=problem,
         eigenvalues=w,
@@ -679,8 +678,7 @@ def solve_pencil(problem: PencilProblem, *, axis_sweep: bool = True) -> PencilSo
         residuals=np.array([p.sigma for p in pairs], dtype=float),
         tail_masses=tails,
         swept=swept,
-        candidate=candidate,
-        physical=physical,
+        physical=(w.imag >= S_WINDOW[0]) & (w.imag <= S_WINDOW[1]) & (tails < TAIL_TOL),
         converged=np.array([p.converged for p in pairs], dtype=bool),
     )
 
@@ -698,12 +696,8 @@ def uncertainty_floor(A: OperatorMatrix, alpha: float) -> tuple[float, AngularSt
     """
     if OperatorId(A.id) not in DIAGONAL_IDS:
         raise IncompatibleFamilyError("uncertainty floor needs a diagonal operator")
+    _check_spectrum(A, alpha)
     spec = A.data[0]
-    if not (spec.min() - 1e-12 <= alpha <= spec.max() + 1e-12):
-        raise OutOfRangeError(
-            f"alpha={alpha} outside the truncated spectrum "
-            f"[{spec.min()}, {spec.max()}]"
-        )
     d = spec.size
     c = np.zeros(d, dtype=complex)
     nearest = int(np.argmin(np.abs(spec - alpha)))
@@ -735,7 +729,6 @@ class QuantizationScan:
 
     family: str
     alphas: np.ndarray
-    min_axis_distance: np.ndarray   # inf where no candidate in the S window
     floor: np.ndarray
     flagged: np.ndarray             # bool: a physical squeezed state exists
     eigenvalues: list = field(repr=False, default_factory=list)
@@ -758,12 +751,10 @@ def quantization_scan(
 
     Per alpha the pencil is solved by :func:`solve_pencil` (the sweep and
     its determinant roots, for both families) at the module's physicality
-    constants, the minimal |Re lambda| over the solution's ``candidate``
-    pairs recorded (0 where a candidate exists, since every certified pair
-    lies on the axis, and inf where none does), and the two-level
-    uncertainty floor at <A> = alpha attached.  Points where the solve
-    fails (a determinant root that does not certify) are flagged in
-    ``errors`` instead of aborting the scan.
+    constants, the point is flagged when the solution has a ``physical``
+    pair, and the two-level uncertainty floor at <A> = alpha is attached.
+    Points where the solve fails (a determinant root that does not certify)
+    are flagged in ``errors`` instead of aborting the scan.
 
     Scan points are independent; ``max_workers`` > 1 evaluates them in a
     thread pool with output assembled in grid order.
@@ -778,11 +769,9 @@ def quantization_scan(
             sol = solve_pencil(problem)
         except SingularPencilError as exc:
             none = np.array([], dtype=complex)
-            return math.inf, floor, False, none, none, str(exc)
-        cand = sol.candidate
-        dist = float(np.min(sol.axis_distances[cand])) if np.any(cand) else math.inf
+            return floor, False, none, none, str(exc)
         physical = sol.eigenvalues[sol.physical]
-        return dist, floor, bool(physical.size), sol.eigenvalues, physical, None
+        return floor, bool(physical.size), sol.eigenvalues, physical, None
 
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -793,19 +782,18 @@ def quantization_scan(
     return QuantizationScan(
         family=family,
         alphas=alphas,
-        min_axis_distance=np.array([r[0] for r in rows]),
-        floor=np.array([r[1] for r in rows]),
-        flagged=np.array([r[2] for r in rows], dtype=bool),
-        eigenvalues=[r[3] for r in rows],
-        physical_eigenvalues=[r[4] for r in rows],
-        errors=[r[5] for r in rows],
+        floor=np.array([r[0] for r in rows]),
+        flagged=np.array([r[1] for r in rows], dtype=bool),
+        eigenvalues=[r[2] for r in rows],
+        physical_eigenvalues=[r[3] for r in rows],
+        errors=[r[4] for r in rows],
     )
 
 
 def scan_to_csv_rows(scan: QuantizationScan) -> list[str]:
-    rows = ["alpha,minImagDistance,floor,flag"]
-    for a, d, f, fl in zip(scan.alphas, scan.min_axis_distance, scan.floor, scan.flagged):
-        rows.append(f"{a:.17g},{d:.17g},{f:.17g},{int(fl)}")
+    rows = ["alpha,floor,flag"]
+    for a, f, fl in zip(scan.alphas, scan.floor, scan.flagged):
+        rows.append(f"{a:.17g},{f:.17g},{int(fl)}")
     return rows
 
 
@@ -815,15 +803,13 @@ def scan_to_dict(scan: QuantizationScan) -> dict:
         "points": [
             {
                 "alpha": float(a),
-                "minImagDistance": float(d),
                 "floor": float(f),
                 "flag": bool(fl),
                 "eigenvalues": [[float(z.real), float(z.imag)] for z in np.asarray(ev)],
                 "error": err,
             }
-            for a, d, f, fl, ev, err in zip(
+            for a, f, fl, ev, err in zip(
                 scan.alphas,
-                scan.min_axis_distance,
                 scan.floor,
                 scan.flagged,
                 scan.eigenvalues,

@@ -187,6 +187,11 @@ def test_matrix_csv_dump():
         ("1", "0"): ("0", "-0.5"),
     }
     assert "-0" not in {field for row in rows for field in row}
+    # a banded kind is written from its bands, so M = 4096 (8193 modes, where
+    # the dense matrix would take 1.07 GB) writes its 2d - 2 nonzero entries
+    buf = io.StringIO()
+    pl.write_matrix_csv(pl.build(pl.OperatorId.SIN_PHI, SYM(4096)), buf)
+    assert len(buf.getvalue().splitlines()) == 2 + 16384
 
 
 BANDED = [

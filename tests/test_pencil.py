@@ -6,9 +6,11 @@ import pytest
 import packetlab as pl
 import packetlab.pencil as pp
 from conftest import (
+    IMAG_AXIS_RTOL,
     align_phase,
     dense_pencil_eigenvalues,
     dense_smallest_singular_pair,
+    local_scale,
     oscillator_branches,
     qz_eigenvalues,
     quantization_scan_qz,
@@ -36,6 +38,16 @@ def test_problem_validation():
         pl.PencilProblem(L, L, 0.0)
     with pytest.raises(pl.WindowMismatchError):
         pl.PencilProblem(L, pl.build(pl.OperatorId.SIN_PHI, SYM(9)), 0.0)
+    # no state has <A> outside A's truncated spectrum; at alpha = 1e300 the
+    # sweep's norms once overflowed and "certified" every point with residual inf
+    for alpha in (1e300, -1e300, 8.5):
+        with pytest.raises(pl.OutOfRangeError):
+            pl.PencilProblem(L, S, alpha)
+    with pytest.raises(pl.OutOfRangeError):
+        pl.circle_problem(1e300)
+    with pytest.raises(pl.OutOfRangeError):
+        pl.oscillator_problem(-0.5, M=8)
+    assert pl.PencilProblem(L, S, -8.0).alpha == -8.0
 
 
 def test_integer_alpha_has_physical_continuum():
@@ -75,7 +87,7 @@ def test_noninteger_alpha_has_no_physical_candidates():
             & (sol.eigenvalues.imag <= 8.0)
             & (sol.tail_masses < 1e-8)
         )
-        assert np.all(sol.axis_distances[cand] > 1e-6)
+        assert not np.any(cand)
 
 
 def test_eigenvector_at_certifies_css():
@@ -221,6 +233,30 @@ def test_real_sweep_matches_complex_oracle(family, alpha):
     assert (len(certified) == pp.SWEEP_POINTS) == (family == "circle" and alpha == round(alpha))
 
 
+@pytest.mark.parametrize(
+    "family, alpha",
+    [
+        ("circle", 0.0), ("circle", 0.3), ("circle", 1.0),
+        ("oscillator", 0.5), ("oscillator", 2.95), ("oscillator", 4.0),
+    ],
+)
+def test_sweep_local_scale_is_the_direct_formula(family, alpha):
+    # the sweep certifies with the local scale its kernel stopped on, read
+    # off T v as ||a v|| + ||a v - T v||; it is the direct formula
+    # ||(A - alpha)v|| + S ||(B - beta)v|| to roundoff (measured: at most 2 ulps,
+    # 3.9e-16 relative)
+    s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)
+    for M in (64, 128):
+        for beta in (0.0, 0.2):
+            a, b = pp._family_problem(family, alpha, beta, M).bands()
+            pairs = pp._pencil_pairs(a, b, 1j * s, pp._start_vector(a.size))
+            local = np.array([p.local for p in pairs])
+            ref = local_scale(a, b, 1j * s, np.array([p.vector for p in pairs]))
+            assert np.all(np.abs(local - ref) <= 1e-14 * ref)
+    # a bare tridiagonal has no pencil, so no local scale
+    assert np.isnan(pl.smallest_singular_pair(b).local)
+
+
 @pytest.mark.parametrize("family, alpha", [("circle", 0.3), ("circle", 1.0), ("oscillator", 0.5)])
 def test_pencil_pairs_independent_of_batch(family, alpha):
     # axis shifts (real arithmetic) and real-QZ eigenvalues (complex shifts)
@@ -357,7 +393,7 @@ def test_refined_roots_match_complex_qz():
         problem = pl.oscillator_problem(alpha, M=64)
         w = pl.solve_pencil(problem, axis_sweep=False).eigenvalues
         ref = dense_pencil_eigenvalues(problem)
-        on_axis = np.abs(ref.real) <= pp.IMAG_AXIS_RTOL * (1 + np.abs(ref))
+        on_axis = np.abs(ref.real) <= IMAG_AXIS_RTOL * (1 + np.abs(ref))
         ref = ref[on_axis & (ref.imag >= pp.S_WINDOW[0]) & (ref.imag <= pp.S_WINDOW[1])]
         assert w.size == ref.size == len(oscillator_branches(alpha))
         for lam in w:
@@ -397,15 +433,17 @@ def test_noninteger_circle_has_no_pair(M):
 @pytest.mark.parametrize(
     "beta, csv_sha256, json_sha256",
     [
-        (0.0, "8209ebdf04a7cc123ccd3aaa09e834789f86e7b963f9fe544a836ab46742b5e3",
-         "9d34066e1ecb2ac393f03df787010f457bda532744efb208a3edcda50a2a9533"),
-        (0.2, "fff9e28fe6b4078d65762962c10ab30bbb91a16b845bb00f4c8bb815da0c7fe2",
-         "4ab2fd45b618b637a384e26e0fc24d26e9643a8f681610772b053fec089fa0a9"),
+        pytest.param(0.0, "497e46eb3014c0694c391499a704b064d2b12df3138a1a3636ec792aa50cb10c",
+                     "d28e159df07b8a4beaac5ec4c2945f4fafb7abd73e721557d9c3a423280908e8", id="0.0"),
+        pytest.param(0.2, "27b09c23814badbc0271992cfa3b23d18c4ed6addf6850d34717067bfa8b6cf4",
+                     "b02ce0cb1d5c32df2e6cb4a36453c2a65e0905d7756ea93ee1aaf1fae853c3e2", id="0.2"),
     ],
 )
 def test_circle_scan_bytes_unchanged(beta, csv_sha256, json_sha256):
     # SHA-256 of the circle scan artifacts written by the solver that ran
-    # real QZ: the circle has no determinant root, so not a byte moves
+    # real QZ, with the minImagDistance column and key (0 or inf, since
+    # every certified pair is exactly iS) projected out: the circle has no
+    # determinant root, so no other byte moves
     import hashlib
     import json
 
@@ -435,8 +473,8 @@ def test_uncertified_root_is_a_scan_error(monkeypatch, capsys):
             "--alpha-step", "1", "-M", "32", "--output", "csv"]
     assert main(argv) == 3
     assert capsys.readouterr().out.split("\n")[1:3] == [
-        "0.5,inf,0.5,0",
-        "1.5,inf,0.5,0",
+        "0.5,0.5,0",
+        "1.5,0.5,0",
     ]
 
 
@@ -475,9 +513,10 @@ def test_quantization_scan_circle():
     alphas = [-1.0, -0.5, 0.0, 0.3, 1.0, 1.7, 2.0]
     scan = pl.quantization_scan("circle", alphas, M=64)
     assert list(scan.flagged_alphas()) == [-1.0, 0.0, 1.0, 2.0]
-    flagged = scan.flagged
-    assert np.all(scan.min_axis_distance[flagged] <= 1e-8)
-    assert np.all(np.isinf(scan.min_axis_distance[~flagged]))
+    # a flagged point's physical eigenvalues are iS exactly, and an
+    # unflagged point has none
+    for ev, flag in zip(scan.physical_eigenvalues, scan.flagged):
+        assert (ev.size > 0) == flag and np.all(ev.real == 0.0)
     # floor column equals the two-level formula
     frac = np.asarray(alphas) - np.floor(alphas)
     assert np.allclose(scan.floor, np.sqrt(frac * (1 - frac)), atol=1e-12)
@@ -495,7 +534,7 @@ def test_scan_parallel_matches_sequential():
     seq = pl.quantization_scan("circle", alphas, M=32)
     par = pl.quantization_scan("circle", alphas, M=32, max_workers=3)
     assert list(seq.flagged) == list(par.flagged)
-    assert np.allclose(seq.min_axis_distance, par.min_axis_distance, equal_nan=True)
+    assert all(np.array_equal(x, y) for x, y in zip(seq.eigenvalues, par.eigenvalues))
     assert np.allclose(seq.floor, par.floor)
 
 
@@ -559,7 +598,7 @@ def test_scan_records_solver_failures(monkeypatch):
         scan = pp.quantization_scan(family, [0.0, 1.0], M=16)
         assert all(e is not None for e in scan.errors)
         assert not scan.flagged.any()
-        assert np.all(np.isinf(scan.min_axis_distance))
+        assert all(ev.size == 0 for ev in scan.eigenvalues)
         # floors are still reported (partial results, not a global failure)
         assert np.allclose(scan.floor, [0.0, 0.0])
 
@@ -569,12 +608,12 @@ def test_scan_csv_format():
 
     scan = pl.quantization_scan("circle", [0.0, 0.5], M=32)
     rows = scan_to_csv_rows(scan)
-    assert rows[0] == "alpha,minImagDistance,floor,flag"
+    assert rows[0] == "alpha,floor,flag"
     assert rows[1].startswith("0,") and rows[1].endswith(",1")
     assert rows[2].endswith(",0")
     # the physical eigenvalues stay out of the artifacts
     points = scan_to_dict(scan)["points"]
-    assert set(points[0]) == {"alpha", "minImagDistance", "floor", "flag", "eigenvalues", "error"}
+    assert set(points[0]) == {"alpha", "floor", "flag", "eigenvalues", "error"}
 
 
 def test_scan_keeps_physical_eigenvalues():
