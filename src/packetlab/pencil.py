@@ -14,26 +14,28 @@ every pencil here, a diagonal A against a tridiagonal B (the cos/sin
 stencils):
 
 * The kernel.  The smallest singular pair (sigma, v) of the tridiagonal
-  T(lambda) = (A - alpha) - lambda (B - beta) comes from inverse iteration
-  on (T^H T)^{-1} with an LU factorization of T (LAPACK ?gttrf, then
-  ?gttrs with T^H and with T); sigma = ||T v|| is a banded product.  All
-  shifts of one pencil iterate together: their tridiagonals are stacked
-  into one block-diagonal tridiagonal with zero couplings, so one ?gttrf
-  call factors every shift and two ?gttrs calls per step serve every
-  shift, and each block gets the same LU, steps and result as a separate
-  iteration would.  The shifts that converge leave the stack, which is
-  factored again without them.  A shift whose T(lambda) has no imaginary
-  part runs in real arithmetic (dgttrf/dgttrs, real vectors), every other
-  one in complex (zgttrf/zgttrs).  On the sine pencils at beta = 0 that is
-  every point of the imaginary axis: -iS (+-i/2) = -+S/2 off the
-  diagonal, and the diagonal is A - alpha.  Nothing on this path is
-  d x d: the operators are stored as their bands, a real shift's bands
-  are formed in ?gttrf's flat layout straight from the real and imaginary
-  parts of lambda and B - beta, and a step runs in place (?gttrs
-  overwrites its right-hand side) with no gathers.  The local scale
-  local = ||(A - alpha)v|| + |lambda| ||(B - beta)v|| comes from the step's
-  own T v, since |lambda| ||(B - beta)v|| = ||(A - alpha)v - T v||, and
-  each pair carries the local of its returned vector next to its sigma.
+  T(iS) = (A - alpha) - iS (B - beta) comes from inverse iteration on
+  (T^H T)^{-1} with an LU factorization of T (LAPACK ?gttrf, then ?gttrs
+  with T^H and with T); sigma = ||T v|| is a banded product.  The kernel
+  runs on the imaginary axis only, and all the S values of one call
+  iterate together: their tridiagonals are stacked into one
+  block-diagonal tridiagonal with zero couplings, so one ?gttrf call
+  factors every S and two ?gttrs calls per step serve every S, and each
+  block gets the same LU, steps and result as a separate iteration would.
+  The S values that converge leave the stack, which is factored again
+  without them.  The arithmetic is a property of the pencil, not of S:
+  when every band of B - beta is imaginary, T(iS) = (A - alpha) +
+  S Im(B - beta) is real and runs in real arithmetic (dgttrf/dgttrs, real
+  vectors).  That is the sine pencils at beta = 0, where T(iS) has -+S/2
+  off the diagonal and A - alpha on it.  Every other pencil (beta != 0,
+  the cosine pencils) runs in complex arithmetic (zgttrf/zgttrs).  Nothing
+  on this path is d x d: the operators are stored as their bands, a real
+  T(iS) is formed in ?gttrf's flat layout straight from S and Im(B - beta),
+  and a step runs in place (?gttrs overwrites its right-hand side) with no
+  gathers.  The local scale local = ||(A - alpha)v|| + S ||(B - beta)v||
+  comes from the step's own T v, since S ||(B - beta)v|| =
+  ||(A - alpha)v - T v||, and each pair carries the local of its returned
+  vector next to its sigma.
 * The imaginary-axis sweep.  For a grid of S values the kernel certifies
   (iS, v) as an eigenpair whenever its residual is at working precision,
   sigma <= SWEEP_RTOL * local, with the kernel's own local: the stopping
@@ -50,8 +52,8 @@ stencils):
   refine it until sigma is at roundoff, and it is kept under the sweep's
   own certificate.  A certified point never ends a bracket: its determinant
   is at roundoff, so its sign is too.  A bracket that does not certify is a
-  SingularPencilError, never a silent drop.  A complex T(iS) (beta != 0,
-  the cosine pencils) has no sign, and there the sweep runs alone.
+  SingularPencilError, never a silent drop.  A complex pencil has no sign,
+  and there the sweep runs alone.
 
 When alpha sits in the point spectrum of A, the truncated pencil has a
 whole segment of nearly exact imaginary eigenvalues (the squeezing can be
@@ -106,14 +108,12 @@ S_WINDOW = (0.1, 8.0)
 SWEEP_RTOL = 1e-12
 SWEEP_POINTS = 80
 
-# Inverse iteration on T(lambda) (sweep, eigenvector_at) and the refinement of
+# Inverse iteration on T(iS) (sweep, eigenvector_at) and the refinement of
 # an axis root both stop once ||T v|| is this many units of roundoff of the
-# local scale ||(A - alpha)v|| + |lambda| ||(B - beta)v||, or after
-# _MAX_STEPS steps.
+# local scale ||(A - alpha)v|| + S ||(B - beta)v||, or after _MAX_STEPS
+# steps.
 _REFINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 _MAX_STEPS = 30
-# Shifts per batched inverse iteration; bounds its memory to O(_BATCH * d).
-_BATCH = 256
 _START_SEED = 12345
 
 Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (sub, main, super) diagonals
@@ -364,30 +364,27 @@ def _solve(lu: list[np.ndarray], y: np.ndarray, mag: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _inverse_iteration(T: Bands, v: np.ndarray, a: np.ndarray | None = None) -> list[SingularPair]:
-    """:func:`_iterate` on the stack of tridiagonals, one per row of the
-    (k, d-1), (k, d), (k, d-1) bands T."""
-    return _iterate(_stack(*T), v, a)
-
-
 def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) -> list[SingularPair]:
     """Inverse iteration v <- (T^H T)^{-1} v from unit v on every block of
-    the system S (:func:`_stack`), in its arithmetic; a real system starts
-    from the real part of v, normalized.
+    the system S (:func:`_stack`), in its arithmetic: dgttrf/dgttrs and real
+    vectors for a float64 system, which starts from the real part of v,
+    normalized, and zgttrf/zgttrs for a complex one.
 
     Each step solves T^H z = v and then T y = z for every block of the
     system at once, in place (:func:`_solve`), and forms T v.  A block has
     converged when sigma = ||T v|| changes by at most 1e-6 relative after
     the fourth step or, given ``a`` (the real diagonal of A - alpha that
-    T = (A - alpha) - lambda (B - beta) was formed from), when sigma is at
-    roundoff of local = ||(A - alpha)v|| + |lambda| ||(B - beta)v||, read
-    off the step's own T v as ||a v|| + ||a v - T v||.  Each pair carries
-    the sigma and, given ``a``, the local of its returned vector (NaN
-    otherwise), the step cap's rows included.  The blocks that
-    converge leave the system: it shrinks to the others, in a V of their
-    own, and is factored again (:func:`_factor`), which gives each block
-    the LU a call with that block alone gives it.  A converged row of V is
-    never written again, and the returned vectors are those rows.
+    every block T = (A - alpha) - lambda (B - beta) was formed from, with
+    lambda = iS in :func:`_axis_pairs`), when sigma is at roundoff of
+    local = ||(A - alpha)v|| + |lambda| ||(B - beta)v||, read off the step's
+    own T v as ||a v|| + ||a v - T v||.  Each pair carries the sigma and,
+    given ``a``, the local of its returned vector (NaN otherwise), the step
+    cap's rows included.  The blocks that converge leave the system: it
+    shrinks to the others, in a V of their own, and is factored again
+    (:func:`_factor`), which gives each block the LU a call with that block
+    alone gives it.  So a block's pair does not depend on the other blocks
+    of the call.  A converged row of V is never written again, and the
+    returned vectors are those rows.
 
     A failed solve (a block's solve overflows or vanishes, as it always
     does when its U has an exact zero on the diagonal) can spoil the blocks
@@ -399,9 +396,24 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
 
     A real block's pair also carries the sign of its determinant, read off
     its first LU: det T = prod U_ii * (-1)^(row interchanges).
+
+    When the largest entry of the system and ``a`` lies outside
+    [2^-500, 2^500], the system is iterated scaled by a power of two 2^-e
+    to a largest entry in [1/2, 1) (by at most 2^1000, so that the padding
+    rows stay finite), and sigma and local are scaled back.  The squares
+    that :func:`_norms` sums would otherwise overflow (for unit v they are
+    at most (4 max|entry|)^2) or underflow, down to a sigma of 0 that
+    certifies; the scaling is exact, so the pair is 2^e times the scaled
+    system's.
     """
     d = v.size
     k = (S[1].size - 2) // d
+    blocks = [_blocks(x, d)[:k] for x in S] + ([] if a is None else [a])  # no padding rows
+    peak = max(float(np.abs(x).max()) for x in blocks)
+    e = max(math.frexp(peak)[1], -1000) if 0 < peak < math.inf and not 2.0**-500 <= peak <= 2.0**500 else 0
+    if e:
+        S = [x * 2.0**-e for x in S]
+        a = None if a is None else a * 2.0**-e
     lu = _factor(S)
     sign = np.zeros(k)
     if not np.iscomplexobj(S[1]):
@@ -480,6 +492,7 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
         sigma[rows] = _norms(TV)
         for j, i in enumerate(rows):
             vectors[i] = V[j]
+    sigma, local = np.ldexp(sigma, e), np.ldexp(local, e)
     return [
         SingularPair(*p)
         for p in zip(sigma.tolist(), vectors, *(x.tolist() for x in (steps, nudges, converged, sign, local)))
@@ -504,75 +517,31 @@ def smallest_singular_pair(T: Bands) -> SingularPair:
     """
     dtype = complex if any(np.iscomplexobj(x) for x in T) else float
     sub, main, sup = (np.atleast_2d(np.asarray(x, dtype=dtype)) for x in T)
-    return _inverse_iteration((sub, main, sup), _start_vector(main.shape[1]))[0]
+    return _iterate(_stack(sub, main, sup), _start_vector(main.shape[1]))[0]
 
 
-def _real_bands(a: np.ndarray, b: Bands, lam: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Which shifts, one per row of lam, have a real
-    T(lambda) = (A - alpha) - lambda (B - beta), and the system
-    (:func:`_stack`) of those shifts' T(lambda), formed in real arithmetic.
+def _axis_pairs(a: np.ndarray, b: Bands, s, v: np.ndarray) -> list[SingularPair]:
+    """Smallest singular pair of T(iS) = (A - alpha) - iS (B - beta) for
+    every S in ``s``, by one batched inverse iteration from unit v
+    (:func:`_iterate`) that stops each S as soon as its residual reaches
+    roundoff of the local scale.
 
-    Both come from the products numpy's complex multiply forms:
-    Re(lambda x) = lr Re x - li Im x and Im(lambda x) = lr Im x + li Re x.
-    A shift is real when both products of Im(lambda x) vanish for every
-    entry x of every band, which, rounding being monotone, is when they
-    vanish for the band's largest real and imaginary parts.  Each band of
-    B - beta here is wholly real or wholly imaginary, so one of the two
-    products is always zero and the rule is exactly Im(lambda x) = 0; a
-    shift it leaves out runs in complex arithmetic, which is still correct.
-    numpy fuses the first product of Re(lambda x) into its sum, which gives
-    the same bits wherever that product is exact, as it is on the imaginary
-    axis (lr = 0), where every real T(lambda) of the pencils here lies.
+    The arithmetic is the pencil's: when every band of B - beta is
+    imaginary, as on the sine pencils at beta = 0, T(iS) = (A - alpha) +
+    S Im(B - beta) is real and its bands are formed in ?gttrf's flat layout
+    (:func:`_system`); otherwise every S runs in complex arithmetic.
     """
-    lr, li = lam.real, lam.imag
-    parts = [(x.real.copy(), x.imag.copy()) for x in b]
-    real = np.ones(lam.size, dtype=bool)
-    for x, y in parts:
-        real &= (lr * abs(y).max(initial=0.0) == 0)[:, 0] & (li * abs(x).max(initial=0.0) == 0)[:, 0]
-    rows = np.flatnonzero(real)
-    r, s = lr[rows], li[rows]
-    (b0r, b0i), (b1r, b1i), (b2r, b2i) = parts
-    d = a.size
-    S = _system(rows.size, d, float)
-    sub, main, sup = (_blocks(x, d)[: rows.size] for x in S)
-    sub, sup, w = sub[:, :-1], sup[:, :-1], np.empty_like(main)
-    np.multiply(s, b0i, out=sub)  # Re(-lambda b0)
-    sub -= np.multiply(r, b0r, out=w[:, :-1])
-    np.multiply(s, b2i, out=sup)  # Re(-lambda b2)
-    sup -= np.multiply(r, b2r, out=w[:, :-1])
-    np.multiply(r, b1r, out=w)  # a - Re(lambda b1)
-    w -= np.multiply(s, b1i, out=main)
-    np.subtract(a, w, out=main)
-    return real, S
-
-
-def _pencil_pairs(a: np.ndarray, b: Bands, lams: np.ndarray, v: np.ndarray) -> list[SingularPair]:
-    """Smallest singular pair of T(lambda) = (A - alpha) - lambda (B - beta)
-    for every lambda in ``lams``, by batched inverse iteration from unit v
-    (_BATCH shifts at a time) that stops each lambda as soon as its residual
-    reaches roundoff of the local scale.
-
-    A shift whose three bands of T(lambda) have no imaginary part runs in
-    real arithmetic, from the real part of v (:func:`_real_bands`): on a
-    sine pencil at beta = 0, T(iS) has the off-diagonals -iS (+-i/2) = -+S/2
-    and the diagonal A - alpha.  Every other shift runs in complex
-    arithmetic.  The choice is made per shift and each group is iterated on
-    its own, so a shift's pair does not depend on the other shifts of the
-    call.
-    """
-    lams = np.asarray(lams, dtype=complex)
-    pairs = [None] * lams.size
-    for i in range(0, lams.size, _BATCH):
-        lam = lams[i : i + _BATCH, None]
-        real, S = _real_bands(a, b, lam)
-        for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
-            if rows.size == 0:
-                continue
-            if not real[rows[0]]:
-                S = _stack(-lam[rows] * b[0], a - lam[rows] * b[1], -lam[rows] * b[2])
-            for j, p in zip(rows, _iterate(S, v, a)):
-                pairs[i + j] = p
-    return pairs
+    s = np.asarray(s, dtype=float)
+    if any(np.any(x.real) for x in b):
+        lam = 1j * s[:, None]
+        return _iterate(_stack(-lam * b[0], a - lam * b[1], -lam * b[2]), v, a)
+    S = _system(s.size, a.size, float)
+    sub, main, sup = (_blocks(x, a.size)[: s.size] for x in S)
+    np.multiply(s[:, None], b[0].imag, out=sub[:, :-1])
+    np.multiply(s[:, None], b[1].imag, out=main)
+    main += a
+    np.multiply(s[:, None], b[2].imag, out=sup[:, :-1])
+    return _iterate(S, v, a)
 
 
 def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, float]:
@@ -583,7 +552,7 @@ def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, floa
     eigenvalue and the vector is its eigenvector.
     """
     a, b = problem.bands()
-    pair = _pencil_pairs(a, b, np.array([1j * s]), _start_vector(a.size))[0]
+    (pair,) = _axis_pairs(a, b, [s], _start_vector(a.size))
     return AngularState(problem.window, pair.vector), pair.sigma
 
 
@@ -601,7 +570,7 @@ def _refine_root(a: np.ndarray, b: Bands, v: np.ndarray, lo: float, hi: float,
     bracket, best, side = (lo, hi), (math.inf, lo, None), 0
     for _ in range(_MAX_STEPS):
         x = hi - fhi * (hi - lo) / (fhi - flo)
-        (p,) = _pencil_pairs(a, b, [1j * x], v)
+        (p,) = _axis_pairs(a, b, [x], v)
         rel = p.sigma / p.local
         best = min(best, (rel, x, p), key=lambda t: t[0])
         if rel <= _REFINE_ROUNDOFF:
@@ -633,7 +602,7 @@ def _sweep_pairs(a: np.ndarray, b: Bands) -> tuple[np.ndarray, list, np.ndarray]
     """
     s = np.linspace(S_WINDOW[0], S_WINDOW[1], SWEEP_POINTS)
     v = _start_vector(a.size)
-    pairs = _pencil_pairs(a, b, 1j * s, v)
+    pairs = _axis_pairs(a, b, s, v)
     sigma = np.array([p.sigma for p in pairs])
     local = np.array([p.local for p in pairs])
     certified = sigma <= SWEEP_RTOL * local

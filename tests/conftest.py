@@ -41,8 +41,10 @@ from packetlab.pencil import (
     SWEEP_RTOL,
     QuantizationScan,
     SingularPair,
+    _axis_pairs,
     _family_problem,
-    _pencil_pairs,
+    _iterate,
+    _stack,
     _start_vector,
 )
 from packetlab.states import TAIL_TOL, tail_mass
@@ -310,6 +312,18 @@ def serial_pencil_pair(
     return serial_inverse_iteration(T, v, lambda u: float(local_scale(a, b, lam, u[None])[0]))
 
 
+def complex_pencil_pairs(a: np.ndarray, b, lams, v: np.ndarray) -> list[SingularPair]:
+    """The kernel's pairs of T(lambda) = (A - alpha) - lambda (B - beta) at
+    any complex shifts, such as the QZ eigenvalues off the imaginary axis,
+    in complex arithmetic from unit v and stopped at roundoff of the local
+    scale: the library itself iterates on the imaginary axis only
+    (:func:`packetlab.pencil._axis_pairs`)."""
+    lam = np.asarray(lams, dtype=complex)[:, None]
+    if lam.size == 0:
+        return []
+    return _iterate(_stack(-lam * b[0], a - lam * b[1], -lam * b[2]), v, a)
+
+
 def local_scale(a: np.ndarray, b, lam, V: np.ndarray) -> np.ndarray:
     """||(A - alpha)v|| + |lambda| ||(B - beta)v|| for each row v of V, by
     the direct formula: the products with the diagonal a and the bands b of
@@ -365,9 +379,10 @@ def quantization_scan_qz(family: str, alphas, M: int, beta: float = 0.0) -> Quan
     pair, classified by the candidate and physical rules, with no
     determinant roots.
 
-    Only QZ eigenvalues with Im lambda inside S_WINDOW get a pair: no other
-    can be a candidate, and a shift's pair does not depend on the other
-    shifts of its batch.
+    Only QZ eigenvalues with Im lambda inside S_WINDOW get a pair, in
+    complex arithmetic (:func:`complex_pencil_pairs`): no other can be a
+    candidate, and a shift's pair does not depend on the other shifts of
+    its batch.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     s = np.linspace(S_WINDOW[0], S_WINDOW[1], SWEEP_POINTS)
@@ -378,7 +393,8 @@ def quantization_scan_qz(family: str, alphas, M: int, beta: float = 0.0) -> Quan
         qz = qz_eigenvalues(problem, a, b)
         qz = qz[(qz.imag >= S_WINDOW[0]) & (qz.imag <= S_WINDOW[1])]
         lams = np.concatenate([qz, 1j * s])
-        pairs = _pencil_pairs(a, b, lams, _start_vector(a.size))
+        v = _start_vector(a.size)
+        pairs = complex_pencil_pairs(a, b, qz, v) + _axis_pairs(a, b, s, v)
         V = np.array([p.vector for p in pairs], dtype=complex)
         sigma = np.array([p.sigma for p in pairs])
         certified = sigma[qz.size:] <= SWEEP_RTOL * local_scale(a, b, 1j * s, V[qz.size:])

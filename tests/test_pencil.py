@@ -8,6 +8,7 @@ import packetlab.pencil as pp
 from conftest import (
     IMAG_AXIS_RTOL,
     align_phase,
+    complex_pencil_pairs,
     dense_pencil_eigenvalues,
     dense_smallest_singular_pair,
     local_scale,
@@ -145,19 +146,20 @@ def test_banded_kernel_singular_and_tiny_pivots():
     ],
 )
 def test_batched_kernel_matches_serial_oracle(family, alpha):
-    # every sweep point and every real-QZ eigenvalue of the pencil (complex
-    # shifts, nearly all off the axis) in one batch, against one serial
-    # inverse iteration per shift; at oscillator 5.0 some sweep points
-    # certify at working precision, so the certificate is checked right at
-    # its threshold
+    # every sweep point in one batch and every real-QZ eigenvalue of the
+    # pencil (complex shifts, nearly all off the axis) in another, against
+    # one serial inverse iteration per shift; at oscillator 5.0 some sweep
+    # points certify at working precision, so the certificate is checked
+    # right at its threshold
 
     problem = pp._family_problem(family, alpha, 0.0, 64)
     a, b = problem.bands()
     v0 = pp._start_vector(a.size)
     s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)
-    lams = np.concatenate([1j * s, qz_eigenvalues(problem, a, b)])
-    batched = pp._pencil_pairs(a, b, lams, v0)
-    serial = [serial_pencil_pair(a, b, lam, v0) for lam in lams]
+    qz = qz_eigenvalues(problem, a, b)
+    batched = pp._axis_pairs(a, b, s, v0) + complex_pencil_pairs(a, b, qz, v0)
+    serial = [serial_pencil_pair(a, b, 1j * S, v0) for S in s]
+    serial += [serial_pencil_pair(a, b, lam, v0, in_complex=True) for lam in qz]
     for p, q in zip(batched, serial):
         assert (p.steps, p.nudges, p.converged) == (q.steps, q.nudges, q.converged)
         assert abs(p.sigma - q.sigma) <= 4 * np.spacing(q.sigma)
@@ -191,7 +193,7 @@ def test_batched_kernel_isolates_singular_blocks():
         main[j] = 1.0
         main[j, d // 2] = pivot
     v0 = pp._start_vector(d)
-    batched = pp._inverse_iteration((sub, main, sup), v0)
+    batched = pp._iterate(pp._stack(sub, main, sup), v0)
     for j, p in enumerate(batched):
         q = serial_inverse_iteration((sub[j], main[j], sup[j]), v0)
         assert p.nudges == (1 if j in (1, 3) else 0) == q.nudges
@@ -217,7 +219,7 @@ def test_real_sweep_matches_complex_oracle(family, alpha):
     a, b = problem.bands()
     v0 = pp._start_vector(a.size)
     s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)
-    real = pp._pencil_pairs(a, b, 1j * s, v0)
+    real = pp._axis_pairs(a, b, s, v0)
     assert all(p.vector.dtype == np.float64 for p in real)
     Aef, Bef = shifted(problem)
     certified = []
@@ -249,7 +251,7 @@ def test_sweep_local_scale_is_the_direct_formula(family, alpha):
     for M in (64, 128):
         for beta in (0.0, 0.2):
             a, b = pp._family_problem(family, alpha, beta, M).bands()
-            pairs = pp._pencil_pairs(a, b, 1j * s, pp._start_vector(a.size))
+            pairs = pp._axis_pairs(a, b, s, pp._start_vector(a.size))
             local = np.array([p.local for p in pairs])
             ref = local_scale(a, b, 1j * s, np.array([p.vector for p in pairs]))
             assert np.all(np.abs(local - ref) <= 1e-14 * ref)
@@ -259,22 +261,58 @@ def test_sweep_local_scale_is_the_direct_formula(family, alpha):
 
 @pytest.mark.parametrize("family, alpha", [("circle", 0.3), ("circle", 1.0), ("oscillator", 0.5)])
 def test_pencil_pairs_independent_of_batch(family, alpha):
-    # axis shifts (real arithmetic) and real-QZ eigenvalues (complex shifts)
-    # in one call: each shift comes out bit for bit as a call with that
-    # shift alone gives it
+    # each S of one axis call, in real arithmetic at beta = 0 and in complex
+    # at beta = 0.2, and each real-QZ eigenvalue of one complex call comes
+    # out bit for bit as a call with that shift alone gives it
 
-    problem = pp._family_problem(family, alpha, 0.0, 32)
-    a, b = problem.bands()
-    v0 = pp._start_vector(a.size)
-    qz = qz_eigenvalues(problem, a, b)
-    s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)[::8]
-    lams = np.concatenate([qz[:6], 1j * s, qz[6:12]])
-    mixed = pp._pencil_pairs(a, b, lams, v0)
-    for lam, p in zip(lams, mixed):
-        (q,) = pp._pencil_pairs(a, b, [lam], v0)
-        assert (p.steps, p.nudges, p.converged, p.sigma) == (q.steps, q.nudges, q.converged, q.sigma)
+    def same(p, q):
+        assert (p.steps, p.nudges, p.converged, p.sigma, p.local, p.sign) == (
+            q.steps, q.nudges, q.converged, q.sigma, q.local, q.sign)
         assert p.vector.dtype == q.vector.dtype
         assert np.array_equal(p.vector, q.vector)
+
+    s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)[::8]
+    for beta, dtype in ((0.0, np.float64), (0.2, np.complex128)):
+        problem = pp._family_problem(family, alpha, beta, 32)
+        a, b = problem.bands()
+        v0 = pp._start_vector(a.size)
+        batch = pp._axis_pairs(a, b, s, v0)
+        assert all(p.vector.dtype == dtype for p in batch)
+        for S, p in zip(s, batch):
+            same(p, pp._axis_pairs(a, b, [S], v0)[0])
+    problem = pp._family_problem(family, alpha, 0.0, 32)
+    a, b = problem.bands()
+    qz = qz_eigenvalues(problem, a, b)[:12]
+    for lam, p in zip(qz, complex_pencil_pairs(a, b, qz, v0)):
+        same(p, complex_pencil_pairs(a, b, [lam], v0)[0])
+
+
+@pytest.mark.parametrize("k", [515, 600, 1000, -600, -1000])
+def test_kernel_scales_huge_systems(k):
+    # above ~1e154 the squares of ||T v|| overflowed (sigma inf, converged
+    # False), and below ~1e-160 they underflowed (at 2^-600 T, sigma 0 and
+    # converged after 4 steps); the kernel now iterates such a system
+    # scaled by a power of two, so 2^k T has exactly 2^k times the pair of T
+    rng = np.random.default_rng(abs(k))
+    d = 24
+    sub, main, sup = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (d - 1, d, d - 1))
+    for T in ((sub, main, sup), (sub.real, main.real, sup.real)):
+        p = pl.smallest_singular_pair(T)
+        q = pl.smallest_singular_pair(tuple(x * 2.0**k for x in T))
+        assert (q.sigma, q.steps, q.nudges, q.converged) == (np.ldexp(p.sigma, k), p.steps, p.nudges, p.converged)
+        assert np.array_equal(q.vector, p.vector)
+    # a pencil's local scale comes back scaled too
+    a, b = pl.circle_problem(1.0, M=16).bands()
+    s, v0 = [0.5, 3.0], pp._start_vector(a.size)
+    big = pp._axis_pairs(a * 2.0**k, tuple(x * 2.0**k for x in b), s, v0)
+    for p, q in zip(pp._axis_pairs(a, b, s, v0), big):
+        assert (q.sigma, q.local, q.steps) == (np.ldexp(p.sigma, k), np.ldexp(p.local, k), p.steps)
+        assert np.array_equal(q.vector, p.vector)
+    full = np.full
+    q = pl.smallest_singular_pair((full(8, 1e155), full(9, 3e155), full(8, 1e155)))
+    assert q.converged
+    assert q.sigma == pytest.approx(1e155 * pl.smallest_singular_pair((full(8, 1.0), full(9, 3.0), full(8, 1.0))).sigma,
+                                    rel=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -292,8 +330,8 @@ def test_kernel_handles_blocks_under_three_modes(d):
     assert pair.sigma == pytest.approx(sigma_ref, rel=1e-8)
     assert pair.sigma == pytest.approx(np.linalg.norm(dense @ pair.vector), rel=1e-12)
     assert abs(np.dot(pair.vector, v_ref)) >= 1 - 1e-8
-    batched = pp._inverse_iteration((np.tile(sub, (3, 1)), np.tile(main, (3, 1)), np.tile(sup, (3, 1))),
-                                    pp._start_vector(d))
+    batched = pp._iterate(pp._stack(np.tile(sub, (3, 1)), np.tile(main, (3, 1)), np.tile(sup, (3, 1))),
+                          pp._start_vector(d))
     for p in batched:
         assert (p.sigma, p.steps) == (pair.sigma, pair.steps)
         assert np.array_equal(p.vector, pair.vector)
@@ -324,6 +362,20 @@ def test_real_kernel_matches_dense_svd(seed):
     assert pair.sigma == pytest.approx(np.linalg.norm(dense @ pair.vector), rel=1e-12)
 
 
+def test_cosine_pencil_runs_complex():
+    # B = cos(phi) has real bands, so T(iS) is complex at every S and has no
+    # determinant sign; the sweep alone certifies every grid point at the
+    # integers and none in between (measured at M = 32: 80, 80 and 0)
+    w = SYM(32)
+    L, C = pl.build(pl.OperatorId.ANGULAR_MOMENTUM, w), pl.build(pl.OperatorId.COS_PHI, w)
+    a, b = pl.PencilProblem(L, C, 1.0).bands()
+    pairs = pp._axis_pairs(a, b, [0.5, 2.0], pp._start_vector(a.size))
+    assert all(p.vector.dtype == np.complex128 and p.sign == 0.0 for p in pairs)
+    for alpha, n in ((0.0, 80), (1.0, 80), (0.3, 0)):
+        sol = pl.solve_pencil(pl.PencilProblem(L, C, alpha))
+        assert sol.n == n == int(np.sum(sol.swept & sol.physical & sol.converged))
+
+
 def test_nonzero_beta_keeps_complex_path():
     # at beta != 0 the diagonal of T(iS) carries -iS(-beta), so the sweep
     # stays complex (and has no determinant sign), and the circle scan still
@@ -331,7 +383,7 @@ def test_nonzero_beta_keeps_complex_path():
     from packetlab.pencil import scan_to_csv_rows
 
     a, b = pp.circle_problem(1.0, beta=0.2, M=32).bands()
-    pairs = pp._pencil_pairs(a, b, [0.5j, 2j], pp._start_vector(a.size))
+    pairs = pp._axis_pairs(a, b, [0.5, 2.0], pp._start_vector(a.size))
     assert all(p.vector.dtype == np.complex128 for p in pairs)
     alphas = [k / 4 for k in range(-8, 9)]
     for M in (32, 64):
