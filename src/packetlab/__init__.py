@@ -53,7 +53,6 @@ from .moments import (
     moments,
     relation_margins,
     report_to_csv_row,
-    report_to_json,
 )
 from .css import CssParams, css_moments, css_state
 from .pencil import (

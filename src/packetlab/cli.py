@@ -6,8 +6,11 @@ point is emitted with 17 significant digits (round-trip safe), so identical
 configurations and seeds give byte-identical output.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure flags
-(partial results are still emitted where defined).  The environment variable
-``PACKETLAB_THREADS`` caps scan parallelism.
+(partial results are still emitted where defined).  A reader that closes
+stdout early (``| head``) leaves the exit code as it is.  Each input file
+option (``--state``, ``--f-table``, ``--modulus-file``) reads stdin when
+given ``-``.  The environment variable ``PACKETLAB_THREADS`` caps scan
+parallelism.
 
 Examples
 --------
@@ -38,7 +41,6 @@ from .moments import (
     relation_margins,
     report_to_csv_row,
     report_to_dict,
-    report_to_json,
 )
 
 EXIT_OK = 0
@@ -48,23 +50,6 @@ EXIT_NUMERICAL = 3
 
 def _f17(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def _load_state(path: str) -> states.AngularState:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return states.state_from_json(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relations", help="uncertainty-relation margins of a state")
     p.add_argument("--state", required=True, help="state JSON path, or - for stdin")
-    p.add_argument("--f-table", default=None, help="CSV f-table enabling the modified-relation margin")
+    p.add_argument("--f-table", default=None, help="CSV f-table for the modified-relation margin, or -")
 
     p = sub.add_parser("pencil", help="solve the squeezed-state pencil at one expectation value")
     p.add_argument("--family", choices=("circle", "oscillator"), required=True)
@@ -110,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="vonmises",
     )
     p.add_argument("--kappa", type=float, default=2.0, help="von Mises concentration")
-    p.add_argument("--modulus-file", default=None, help="JSON array of modulus samples (overrides --modulus)")
+    p.add_argument("--modulus-file", default=None, help="JSON modulus samples, or -; overrides --modulus")
     p.add_argument("--grid", "-G", type=int, default=512, help="angular grid size (default 512)")
     p.add_argument("--seed", type=int, default=0, help="seed of the random modulus")
 
@@ -133,82 +118,59 @@ def _state_payload(state: states.AngularState) -> dict:
     return json.loads(states.state_to_json(state))
 
 
-def _cmd_css(args) -> int:
+def _read(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
+def _cmd_css(args) -> tuple[list[str], object, int]:
     window = states.ModeWindow.symmetric(args.truncation)
     params = css.CssParams(args.S, args.ell, args.center)
     state = css.css_state(params, window)
     report = css.css_moments(params, window)
-    if args.output == "csv":
-        _emit(
-            CSV_HEADER + "\n" + report_to_csv_row(report),
-            args.out,
-        )
-    else:
-        _emit(
-            json.dumps(
-                {"state": _state_payload(state), "moments": report_to_dict(report)}
-            ),
-            args.out,
-        )
-    return EXIT_OK
+    payload = {"state": _state_payload(state), "moments": report_to_dict(report)}
+    return [CSV_HEADER, report_to_csv_row(report)], payload, EXIT_OK
 
 
-def _cmd_moments(args) -> int:
-    state = _load_state(args.state)
-    report = moments(state)
-    if args.output == "csv":
-        _emit(CSV_HEADER + "\n" + report_to_csv_row(report), args.out)
-    else:
-        _emit(report_to_json(report), args.out)
-    return EXIT_OK
+def _cmd_moments(args) -> tuple[list[str], object, int]:
+    report = moments(states.state_from_json(_read(args.state)))
+    return [CSV_HEADER, report_to_csv_row(report)], report_to_dict(report), EXIT_OK
 
 
-def _cmd_relations(args) -> int:
-    state = _load_state(args.state)
-    table = None
-    if args.f_table:
-        with open(args.f_table) as fh:
-            table = variational.read_f_table(fh.read().splitlines())
+def _cmd_relations(args) -> tuple[list[str], object, int]:
+    state = states.state_from_json(_read(args.state))
+    table = variational.read_f_table(_read(args.f_table).splitlines()) if args.f_table else None
     margins = relation_margins(state, table)
-    if args.output == "csv":
-        rows = ["relation,lhs,rhs,satisfied"]
-        rows += [
-            f"{m.relation.value},{_f17(m.lhs)},{_f17(m.rhs)},{int(m.satisfied)}"
-            for m in margins
-        ]
-        _emit("\n".join(rows), args.out)
-    else:
-        _emit(json.dumps(margins_to_dict(margins)), args.out)
-    return EXIT_OK
+    rows = ["relation,lhs,rhs,satisfied"]
+    rows += [f"{m.relation.value},{_f17(m.lhs)},{_f17(m.rhs)},{int(m.satisfied)}" for m in margins]
+    return rows, margins_to_dict(margins), EXIT_OK
 
 
-def _cmd_pencil(args) -> int:
+def _cmd_pencil(args) -> tuple[list[str], object, int]:
     problem = pencil_mod._family_problem(args.family, args.alpha, args.beta, args.truncation)
     sol = pencil_mod.solve_pencil(problem)
-    if args.output == "csv":
-        rows = ["re,im,tailMass,residual,physical"]
-        for i in range(sol.n):
-            z = sol.eigenvalues[i]
-            rows.append(
-                f"{_f17(z.real)},{_f17(z.imag)},"
-                f"{_f17(sol.tail_masses[i])},{_f17(sol.residuals[i])},{int(sol.physical[i])}"
-            )
-        _emit("\n".join(rows), args.out)
-    else:
-        payload = {
-            "family": args.family,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in sol.eigenvalues],
-            "tailMass": [float(x) for x in sol.tail_masses],
-            "residual": [float(x) for x in sol.residuals],
-            "physical": [bool(x) for x in sol.physical],
-        }
-        _emit(json.dumps(payload), args.out)
-    return EXIT_OK
+    rows = ["re,im,tailMass,residual,physical"]
+    for i in range(sol.n):
+        z = sol.eigenvalues[i]
+        rows.append(
+            f"{_f17(z.real)},{_f17(z.imag)},"
+            f"{_f17(sol.tail_masses[i])},{_f17(sol.residuals[i])},{int(sol.physical[i])}"
+        )
+    payload = {
+        "family": args.family,
+        "alpha": args.alpha,
+        "beta": args.beta,
+        "eigenvalues": [[float(z.real), float(z.imag)] for z in sol.eigenvalues],
+        "tailMass": [float(x) for x in sol.tail_masses],
+        "residual": [float(x) for x in sol.residuals],
+        "physical": [bool(x) for x in sol.physical],
+    }
+    return rows, payload, EXIT_OK
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[list[str], object, int]:
     if not all(math.isfinite(x) for x in (args.alpha_min, args.alpha_max, args.alpha_step)):
         raise ValueError("--alpha-min, --alpha-max and --alpha-step must be finite")
     if args.alpha_step <= 0:
@@ -224,31 +186,29 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"--alpha-step {args.alpha_step} is too small for a finite grid")
     n = int(math.floor(steps + 0.5)) + 1
     alphas = args.alpha_min + args.alpha_step * np.arange(n)
-    workers = int(os.environ.get("PACKETLAB_THREADS", "1"))
+    threads = os.environ.get("PACKETLAB_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ValueError(f"PACKETLAB_THREADS must be an integer, got {threads!r}") from None
     scan = pencil_mod.quantization_scan(
         args.family, alphas, beta=args.beta, M=args.truncation, max_workers=workers
     )
-    if args.output == "csv":
-        _emit("\n".join(pencil_mod.scan_to_csv_rows(scan)), args.out)
-    else:
-        _emit(json.dumps(pencil_mod.scan_to_dict(scan)), args.out)
-    return EXIT_NUMERICAL if any(e is not None for e in scan.errors) else EXIT_OK
+    code = EXIT_NUMERICAL if any(e is not None for e in scan.errors) else EXIT_OK
+    return pencil_mod.scan_to_csv_rows(scan), pencil_mod.scan_to_dict(scan), code
 
 
-def _cmd_floor(args) -> int:
+def _cmd_floor(args) -> tuple[list[str], object, int]:
     problem = pencil_mod._family_problem(args.family, 0.0, 0.0, args.truncation)
     floor, state = pencil_mod.uncertainty_floor(problem.A, args.alpha)
-    if args.output == "csv":
-        _emit("alpha,floor\n" + f"{_f17(args.alpha)},{_f17(floor)}", args.out)
-    else:
-        _emit(json.dumps({"alpha": args.alpha, "floor": floor, "state": _state_payload(state)}), args.out)
-    return EXIT_OK
+    rows = ["alpha,floor", f"{_f17(args.alpha)},{_f17(floor)}"]
+    return rows, {"alpha": args.alpha, "floor": floor, "state": _state_payload(state)}, EXIT_OK
 
 
-def _cmd_phase_min(args) -> int:
+def _cmd_phase_min(args) -> tuple[list[str], object, int]:
     G = args.grid
     if args.modulus_file:
-        samples = json.loads(open(args.modulus_file).read())
+        samples = json.loads(_read(args.modulus_file))
         numbers = isinstance(samples, list) and all(isinstance(x, (int, float)) for x in samples)
         if not (numbers and samples):
             raise ValueError(f"{args.modulus_file} must hold a non-empty JSON array of numbers")
@@ -262,28 +222,20 @@ def _cmd_phase_min(args) -> int:
     else:
         r = variational.random_smooth_modulus(G, args.seed)
     profile, delta_l = variational.minimize_phase(r, args.winding)
-    mean_l = variational.mean_l_of(r, profile)
     payload = {
         "winding": profile.slope,
         "offset": profile.offset,
         "fitResidual": profile.fit_residual,
         "deltaL": delta_l,
-        "meanL": mean_l,
+        "meanL": variational.mean_l_of(r, profile),
     }
-    if args.output == "csv":
-        _emit(
-            "winding,offset,fitResidual,deltaL,meanL\n"
-            + ",".join(_f17(payload[k]) for k in ("winding", "offset", "fitResidual", "deltaL", "meanL")),
-            args.out,
-        )
-    else:
-        payload["optimizerSuccess"] = profile.optimizer_success
-        payload["modulusVanishes"] = r.vanishes
-        _emit(json.dumps(payload), args.out)
-    return EXIT_OK
+    rows = [",".join(payload), ",".join(_f17(x) for x in payload.values())]
+    payload["optimizerSuccess"] = profile.optimizer_success
+    payload["modulusVanishes"] = r.vanishes
+    return rows, payload, EXIT_OK
 
 
-def _cmd_f_scan(args) -> int:
+def _cmd_f_scan(args) -> tuple[list[str], object, int]:
     if args.targets:
         targets = [float(t) for t in args.targets.split(",")]
     else:
@@ -291,17 +243,16 @@ def _cmd_f_scan(args) -> int:
             raise ValueError("--t-min and --t-max must be finite")
         targets = np.linspace(args.t_min, args.t_max, args.t_count)
     table = variational.f_table(targets)
-    if args.output == "csv":
-        _emit("\n".join(table.to_csv_rows()), args.out)
-    else:
-        payload = [
-            {"deltaPhiP": float(t), "f": float(f), "converged": bool(c), "rounds": int(n), "violation": float(v)}
-            for t, f, c, n, v in zip(table.delta_phi_p, table.f, table.converged, table.rounds, table.violation)
-        ]
-        _emit(json.dumps(payload), args.out)
-    return EXIT_OK if bool(np.all(table.converged)) else EXIT_NUMERICAL
+    payload = [
+        {"deltaPhiP": float(t), "f": float(f), "converged": bool(c), "rounds": int(n), "violation": float(v)}
+        for t, f, c, n, v in zip(table.delta_phi_p, table.f, table.converged, table.rounds, table.violation)
+    ]
+    code = EXIT_OK if bool(np.all(table.converged)) else EXIT_NUMERICAL
+    return table.to_csv_rows(), payload, code
 
 
+# each handler returns its CSV lines, its JSON payload and its exit code;
+# main joins one of the two forms and is the one place that writes
 _HANDLERS = {
     "css": _cmd_css,
     "moments": _cmd_moments,
@@ -315,10 +266,24 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        rows, payload, code = _HANDLERS[args.command](args)
+        text = ("\n".join(rows) if args.output == "csv" else json.dumps(payload)) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+            return code
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early (``| head``): the run stands, and
+            # the flush at shutdown goes to /dev/null instead of failing again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     except (SingularPencilError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -32,7 +32,6 @@ which ranges from zero to infinity and is reported as +inf for states with
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -299,10 +298,6 @@ def report_to_csv_row(rep: MomentReport) -> str:
 
 def report_to_dict(rep: MomentReport) -> dict:
     return {name: getattr(rep, f) for f, name in _ARTIFACT_NAMES.items()}
-
-
-def report_to_json(rep: MomentReport) -> str:
-    return json.dumps(report_to_dict(rep))
 
 
 def margins_to_dict(margins: list[RelationMargin]) -> list[dict]:

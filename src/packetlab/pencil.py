@@ -513,11 +513,18 @@ def smallest_singular_pair(T: Bands) -> SingularPair:
     one LU factorization in all, in real arithmetic when no band is
     complex.  The returned pair always satisfies
     ||T v|| = sigma exactly, so sigma is a certified eigenpair residual;
-    ``converged`` is False when the step cap ran out first.
+    ``converged`` is False when the step cap ran out first.  Bands whose
+    sizes are not n - 1, n and n - 1 with n >= 1 raise a ValueError.
     """
     dtype = complex if any(np.iscomplexobj(x) for x in T) else float
     sub, main, sup = (np.atleast_2d(np.asarray(x, dtype=dtype)) for x in T)
-    return _iterate(_stack(sub, main, sup), _start_vector(main.shape[1]))[0]
+    n = main.shape[1]
+    if n == 0 or sub.shape[1] != n - 1 or sup.shape[1] != n - 1:
+        raise ValueError(
+            "a tridiagonal of order n >= 1 has bands of n - 1, n and n - 1 entries; "
+            f"got sub {np.shape(T[0])}, main {np.shape(T[1])}, super {np.shape(T[2])}"
+        )
+    return _iterate(_stack(sub, main, sup), _start_vector(n))[0]
 
 
 def _axis_pairs(a: np.ndarray, b: Bands, s, v: np.ndarray) -> list[SingularPair]:

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +60,17 @@ def test_moments_and_relations_roundtrip(tmp_path, capsys):
     assert lines[0] == "relation,lhs,rhs,satisfied"
     names = {ln.split(",")[0] for ln in lines[1:]}
     assert names == {"NaiveRobertson", "CosRelation", "SinRelation", "CombinedPhi"}
+
+
+@pytest.mark.parametrize("command", ["moments", "relations"])
+def test_state_from_stdin(tmp_path, monkeypatch, capsys, command):
+    text = pl.state_to_json(pl.css_state(pl.CssParams(2.0, 1), pl.ModeWindow.symmetric(32)))
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, expected, _ = run(capsys, command, "--state", str(path))
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, command, "--state", "-") == (0, expected, "")
 
 
 def test_relations_with_f_table(tmp_path, capsys):
@@ -191,6 +205,46 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("alpha,")
+
+
+SCANS = [
+    ["scan", "--family", "circle", "--alpha-min", "-1", "--alpha-max", "1", "--alpha-step", "0.25"],
+    ["scan", "--family", "oscillator", "--alpha-min", "0", "--alpha-max", "3", "--alpha-step", "0.5"],
+]
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("argv", SCANS, ids=["circle", "oscillator"])
+def test_threaded_scan_matches_serial(monkeypatch, capsys, argv, output):
+    monkeypatch.delenv("PACKETLAB_THREADS", raising=False)
+    argv = [*argv, "-M", "32", "--output", output]
+    serial = run(capsys, *argv)
+    monkeypatch.setenv("PACKETLAB_THREADS", "2")
+    assert run(capsys, *argv) == serial
+    assert serial[0] == 0
+
+
+def test_non_integer_threads_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("PACKETLAB_THREADS", "abc")
+    code, out, err = run(capsys, *SCANS[0])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: PACKETLAB_THREADS")
+
+
+@pytest.mark.parametrize("argv", [
+    ["floor", "--alpha", "0.25"],
+    # 65 points, 20 KB of JSON
+    ["scan", "--family", "circle", "--alpha-min", "-8", "--alpha-max", "8", "--alpha-step", "0.25", "-M", "16"],
+], ids=["floor", "scan"])
+def test_closed_stdout_keeps_exit_code(argv):
+    # a reader that stops early (``| head``) once turned a finished run into
+    # "error: [Errno 32] Broken pipe" and exit 2
+    src = str(Path(pl.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from packetlab.cli import main; sys.exit(main({argv!r}))"
+    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_unknown_command_exits_2(capsys):

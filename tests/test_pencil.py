@@ -123,6 +123,20 @@ def test_banded_kernel_matches_dense_svd(seed):
     assert pair.sigma == pytest.approx(np.linalg.norm(tridiagonal(T) @ pair.vector), rel=1e-12)
 
 
+@pytest.mark.parametrize("sub, main, sup", [
+    (np.ones(5), 3 * np.ones(5), np.ones(4)),
+    (np.ones(4), 3 * np.ones(5), np.ones(5)),
+    (np.ones(3), 3 * np.ones(5), np.ones(3)),
+    (np.array([]), np.array([]), np.array([])),
+], ids=["long-sub", "long-super", "short-both", "empty"])
+def test_banded_kernel_rejects_missized_bands(sub, main, sup):
+    # a long off-diagonal once filled the zero coupling to the padding rows
+    # and returned a wrong sigma (1.6929, 2.2887 and 1.3820 against the true
+    # 3 - sqrt(3) = 1.2679); empty bands ended in a ZeroDivisionError
+    with pytest.raises(ValueError, match=rf"sub \({sub.size},\), main \({main.size},\), super \({sup.size},\)"):
+        pl.smallest_singular_pair((sub, main, sup))
+
+
 def test_banded_kernel_singular_and_tiny_pivots():
     zero = np.zeros(2, dtype=complex)
     e2 = np.array([0, 1, 0])
