@@ -52,7 +52,6 @@ from .moments import (
     delta_phi_p,
     moments,
     relation_margins,
-    report_to_csv_row,
 )
 from .css import CssParams, css_moments, css_state
 from .pencil import (

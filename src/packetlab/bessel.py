@@ -37,11 +37,16 @@ def bessel_i_ratios(nmax: int, x: float) -> np.ndarray:
     # Start far enough above nmax that the contaminating (growing) solution
     # has died out by the time the recursion reaches order nmax.
     start = nmax + max(24, int(math.ceil(2.0 * math.sqrt(40.0 * (nmax + 1)))), int(x))
-    vals = np.zeros(start + 2)
-    vals[start + 1] = 0.0
-    vals[start] = _SMALL
+    # Only orders k + 1 and k are kept while recursing, plus the returned
+    # orders 0..nmax, so the cost of a rescale does not grow with x.
+    out = np.zeros(nmax + 1)
+    above, cur = 0.0, _SMALL
     for k in range(start, 0, -1):
-        vals[k - 1] = vals[k + 1] + (2.0 * k / x) * vals[k]
-        if abs(vals[k - 1]) > _BIG:
-            vals *= _SMALL
-    return vals[: nmax + 1] / vals[0]
+        above, cur = cur, above + (2.0 * k / x) * cur
+        if k <= nmax + 1:
+            out[k - 1] = cur
+        if abs(cur) > _BIG:
+            above *= _SMALL
+            cur *= _SMALL
+            out[k - 1 :] *= _SMALL
+    return out / out[0]

@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Every subcommand is a thin wrapper over exactly one library operation and
-writes a reproducible JSON or CSV artifact to stdout or ``--out``.  Floating
-point is emitted with 17 significant digits (round-trip safe), so identical
-configurations and seeds give byte-identical output.
+writes a reproducible JSON or CSV artifact to stdout or ``--out``.  Every
+artifact is rendered here: each handler builds its records once, its JSON
+payload is those records (or wraps them), and its CSV is named columns of
+the same records, rendered by :func:`_csv`.  Floating point is emitted with
+17 significant digits (round-trip safe), so identical configurations and
+seeds give byte-identical output.  The library keeps only the formats it
+reads back: state JSON and the f-table CSV.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure flags
 (partial results are still emitted where defined).  A reader that closes
@@ -33,23 +37,53 @@ import numpy as np
 from . import css, states, variational
 from . import pencil as pencil_mod
 from .errors import ConvergenceError, PacketLabError, SingularPencilError
-from .moments import (
-    CSV_HEADER,
-    PHI_P_MAX,
-    margins_to_dict,
-    moments,
-    relation_margins,
-    report_to_csv_row,
-    report_to_dict,
-)
+from .moments import PHI_P_MAX, moments, relation_margins
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _f17(x: float) -> str:
-    return f"{float(x):.17g}"
+# MomentReport field -> artifact name, in artifact order
+_MOMENT_NAMES = {
+    "mean_l": "meanL", "var_l": "varL", "mean_cos": "meanCos",
+    "var_cos": "varCos", "mean_sin": "meanSin", "var_sin": "varSin",
+    "delta_phi_p": "deltaPhiP", "gamma_star": "gammaStar",
+    "delta_phi_combined": "deltaPhiCombined", "tail_mass": "tailMass",
+}
+
+
+def _csv(columns, records) -> list[str]:
+    """The header ``columns`` and one row of those fields per record:
+    floats at 17 digits, bools as 0/1, strings as they are."""
+
+    def cell(x) -> str:
+        if isinstance(x, bool):
+            return str(int(x))
+        return x if isinstance(x, str) else f"{float(x):.17g}"
+
+    return [",".join(columns)] + [",".join(cell(r[c]) for c in columns) for r in records]
+
+
+def _moment_artifact(report) -> tuple[list[str], dict]:
+    record = {name: getattr(report, f) for f, name in _MOMENT_NAMES.items()}
+    return _csv([n for n in record if n != "tailMass"], [record]), record
+
+
+def scan_artifact(scan: pencil_mod.QuantizationScan) -> tuple[list[str], dict]:
+    """CSV lines and JSON payload of a quantization scan: one record per
+    point, of which the CSV holds alpha, floor and flag."""
+    points = [
+        {
+            "alpha": float(a),
+            "floor": float(f),
+            "flag": bool(fl),
+            "eigenvalues": [[float(z.real), float(z.imag)] for z in np.asarray(ev)],
+            "error": err,
+        }
+        for a, f, fl, ev, err in zip(scan.alphas, scan.floor, scan.flagged, scan.eigenvalues, scan.errors)
+    ]
+    return _csv(("alpha", "floor", "flag"), points), {"family": scan.family, "points": points}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,35 +163,28 @@ def _cmd_css(args) -> tuple[list[str], object, int]:
     window = states.ModeWindow.symmetric(args.truncation)
     params = css.CssParams(args.S, args.ell, args.center)
     state = css.css_state(params, window)
-    report = css.css_moments(params, window)
-    payload = {"state": _state_payload(state), "moments": report_to_dict(report)}
-    return [CSV_HEADER, report_to_csv_row(report)], payload, EXIT_OK
+    rows, record = _moment_artifact(css.css_moments(params, window))
+    return rows, {"state": _state_payload(state), "moments": record}, EXIT_OK
 
 
 def _cmd_moments(args) -> tuple[list[str], object, int]:
-    report = moments(states.state_from_json(_read(args.state)))
-    return [CSV_HEADER, report_to_csv_row(report)], report_to_dict(report), EXIT_OK
+    rows, record = _moment_artifact(moments(states.state_from_json(_read(args.state))))
+    return rows, record, EXIT_OK
 
 
 def _cmd_relations(args) -> tuple[list[str], object, int]:
     state = states.state_from_json(_read(args.state))
     table = variational.read_f_table(_read(args.f_table).splitlines()) if args.f_table else None
-    margins = relation_margins(state, table)
-    rows = ["relation,lhs,rhs,satisfied"]
-    rows += [f"{m.relation.value},{_f17(m.lhs)},{_f17(m.rhs)},{int(m.satisfied)}" for m in margins]
-    return rows, margins_to_dict(margins), EXIT_OK
+    records = [
+        {"relation": m.relation.value, "lhs": m.lhs, "rhs": m.rhs, "satisfied": m.satisfied}
+        for m in relation_margins(state, table)
+    ]
+    return _csv(("relation", "lhs", "rhs", "satisfied"), records), records, EXIT_OK
 
 
 def _cmd_pencil(args) -> tuple[list[str], object, int]:
     problem = pencil_mod._family_problem(args.family, args.alpha, args.beta, args.truncation)
     sol = pencil_mod.solve_pencil(problem)
-    rows = ["re,im,tailMass,residual,physical"]
-    for i in range(sol.n):
-        z = sol.eigenvalues[i]
-        rows.append(
-            f"{_f17(z.real)},{_f17(z.imag)},"
-            f"{_f17(sol.tail_masses[i])},{_f17(sol.residuals[i])},{int(sol.physical[i])}"
-        )
     payload = {
         "family": args.family,
         "alpha": args.alpha,
@@ -167,7 +194,11 @@ def _cmd_pencil(args) -> tuple[list[str], object, int]:
         "residual": [float(x) for x in sol.residuals],
         "physical": [bool(x) for x in sol.physical],
     }
-    return rows, payload, EXIT_OK
+    # the payload holds the pairs as columns; the CSV has one row per pair
+    columns = ("re", "im", "tailMass", "residual", "physical")
+    pairs = zip(payload["eigenvalues"], payload["tailMass"], payload["residual"], payload["physical"])
+    records = [dict(zip(columns, (*z, t, r, p))) for z, t, r, p in pairs]
+    return _csv(columns, records), payload, EXIT_OK
 
 
 def _cmd_scan(args) -> tuple[list[str], object, int]:
@@ -195,14 +226,14 @@ def _cmd_scan(args) -> tuple[list[str], object, int]:
         args.family, alphas, beta=args.beta, M=args.truncation, max_workers=workers
     )
     code = EXIT_NUMERICAL if any(e is not None for e in scan.errors) else EXIT_OK
-    return pencil_mod.scan_to_csv_rows(scan), pencil_mod.scan_to_dict(scan), code
+    return (*scan_artifact(scan), code)
 
 
 def _cmd_floor(args) -> tuple[list[str], object, int]:
     problem = pencil_mod._family_problem(args.family, 0.0, 0.0, args.truncation)
     floor, state = pencil_mod.uncertainty_floor(problem.A, args.alpha)
-    rows = ["alpha,floor", f"{_f17(args.alpha)},{_f17(floor)}"]
-    return rows, {"alpha": args.alpha, "floor": floor, "state": _state_payload(state)}, EXIT_OK
+    payload = {"alpha": args.alpha, "floor": floor, "state": _state_payload(state)}
+    return _csv(("alpha", "floor"), [payload]), payload, EXIT_OK
 
 
 def _cmd_phase_min(args) -> tuple[list[str], object, int]:
@@ -228,11 +259,10 @@ def _cmd_phase_min(args) -> tuple[list[str], object, int]:
         "fitResidual": profile.fit_residual,
         "deltaL": delta_l,
         "meanL": variational.mean_l_of(r, profile),
+        "optimizerSuccess": profile.optimizer_success,
+        "modulusVanishes": r.vanishes,
     }
-    rows = [",".join(payload), ",".join(_f17(x) for x in payload.values())]
-    payload["optimizerSuccess"] = profile.optimizer_success
-    payload["modulusVanishes"] = r.vanishes
-    return rows, payload, EXIT_OK
+    return _csv(("winding", "offset", "fitResidual", "deltaL", "meanL"), [payload]), payload, EXIT_OK
 
 
 def _cmd_f_scan(args) -> tuple[list[str], object, int]:

@@ -85,6 +85,17 @@ def css_state(params: CssParams, window: ModeWindow) -> AngularState:
     M = window.M
 
     kmax = M + abs(ell)
+    # The recursion below costs O(S).  r_k = I_k(S)/I_0(S) falls with |k|
+    # and I_j/I_{j-1} >= S/(j + sqrt(j^2 + S^2)) (Amos, Math. Comp. 28,
+    # 1974), so with n = 2 kmax + 1 the orders kmax < |k| <= n hold at least
+    # a fraction rho^(2n)/2 of the mass: a squeezing that this bound already
+    # puts outside the window is rejected before the recursion.
+    n = 2 * kmax + 1
+    if (S / (n + math.hypot(n, S))) ** (2 * n) / 2.0 >= OUTSIDE_MASS_TOL:
+        raise TailMassError(
+            f"squeezing S={S} with l={ell} leaves relative mass above "
+            f"{OUTSIDE_MASS_TOL:.0e} outside the window M={M}"
+        )
     ratios = bessel_i_ratios(kmax + 80, S)
     squares = ratios**2
     # sum over all orders of I_k^2 equals I_0(2S); everything beyond the
@@ -117,6 +128,9 @@ def css_moments(params: CssParams, window: ModeWindow | None = None) -> MomentRe
     ell = _integer_ell(params.ell)
     S = params.squeezing
     g0 = params.center
+    if window is None:
+        window = ModeWindow.symmetric(max(64, abs(ell) + 8 * (1 + int(math.ceil(S)))))
+    state = css_state(params, window)
 
     if S == 0.0:
         r1, r2 = 0.0, 0.0
@@ -135,9 +149,6 @@ def css_moments(params: CssParams, window: ModeWindow | None = None) -> MomentRe
     var_cos = cg**2 * var_cos0 + sg**2 * var_sin0
     var_sin = sg**2 * var_cos0 + cg**2 * var_sin0
 
-    if window is None:
-        window = ModeWindow.symmetric(max(64, abs(ell) + 8 * (1 + int(math.ceil(S)))))
-    state = css_state(params, window)
     vmin, gamma = minimized_second_moment(circular_coefficients(state))
 
     r_sq = r1**2

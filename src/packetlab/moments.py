@@ -134,7 +134,11 @@ def minimized_second_moment(bk: np.ndarray) -> tuple[float, float]:
     kkc = ks * kc
     step = 2.0 * math.pi / n
     ulp = math.ulp(math.pi)  # spacing of doubles at the largest |gamma|
-    candidates = np.where(vals <= vmin + 1e-9 * max(1.0, abs(vmin)))[0]
+    # V'' = 2 - 4 pi rho <= 2, so a grid point lies at most (pi/n)^2 above
+    # the minimum of its own cell: every cell within that of the best grid
+    # value may hold the global minimum
+    slack = (math.pi / n) ** 2 + 1e-9 * max(1.0, abs(vmin))
+    candidates = np.where(vals <= vmin + slack)[0]
     best = (math.inf, 0.0)
     for idx in candidates:
         g = float(grid[idx])
@@ -277,36 +281,3 @@ def relation_margins(state: AngularState, f_table=None) -> list[RelationMargin]:
         lhs = dl * rep.delta_phi_combined
         out.append(RelationMargin(Relation.COMBINED_PHI, lhs, 0.5, lhs > 0.5))
     return out
-
-
-# -- emission ---------------------------------------------------------------
-
-# MomentReport field -> artifact name, in artifact order.
-_ARTIFACT_NAMES = {
-    "mean_l": "meanL", "var_l": "varL", "mean_cos": "meanCos",
-    "var_cos": "varCos", "mean_sin": "meanSin", "var_sin": "varSin",
-    "delta_phi_p": "deltaPhiP", "gamma_star": "gammaStar",
-    "delta_phi_combined": "deltaPhiCombined", "tail_mass": "tailMass",
-}
-_CSV_FIELDS = tuple(f for f in _ARTIFACT_NAMES if f != "tail_mass")
-CSV_HEADER = ",".join(_ARTIFACT_NAMES[f] for f in _CSV_FIELDS)
-
-
-def report_to_csv_row(rep: MomentReport) -> str:
-    return ",".join(f"{getattr(rep, f):.17g}" for f in _CSV_FIELDS)
-
-
-def report_to_dict(rep: MomentReport) -> dict:
-    return {name: getattr(rep, f) for f, name in _ARTIFACT_NAMES.items()}
-
-
-def margins_to_dict(margins: list[RelationMargin]) -> list[dict]:
-    return [
-        {
-            "relation": m.relation.value,
-            "lhs": m.lhs,
-            "rhs": m.rhs,
-            "satisfied": m.satisfied,
-        }
-        for m in margins
-    ]

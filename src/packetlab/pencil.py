@@ -764,32 +764,3 @@ def quantization_scan(
         physical_eigenvalues=[r[3] for r in rows],
         errors=[r[4] for r in rows],
     )
-
-
-def scan_to_csv_rows(scan: QuantizationScan) -> list[str]:
-    rows = ["alpha,floor,flag"]
-    for a, f, fl in zip(scan.alphas, scan.floor, scan.flagged):
-        rows.append(f"{a:.17g},{f:.17g},{int(fl)}")
-    return rows
-
-
-def scan_to_dict(scan: QuantizationScan) -> dict:
-    return {
-        "family": scan.family,
-        "points": [
-            {
-                "alpha": float(a),
-                "floor": float(f),
-                "flag": bool(fl),
-                "eigenvalues": [[float(z.real), float(z.imag)] for z in np.asarray(ev)],
-                "error": err,
-            }
-            for a, f, fl, ev, err in zip(
-                scan.alphas,
-                scan.floor,
-                scan.flagged,
-                scan.eigenvalues,
-                scan.errors,
-            )
-        ],
-    }

@@ -134,10 +134,6 @@ class GridFunction:
     def size(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def angles(self) -> np.ndarray:
-        return grid_angles(self.size)
-
 
 def tail_mass(coeffs: np.ndarray, window: ModeWindow):
     """Probability in the outermost TAIL_FRACTION of the mode range, per

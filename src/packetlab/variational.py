@@ -96,10 +96,6 @@ class ModulusProfile:
         return int(self.values.size)
 
     @property
-    def angles(self) -> np.ndarray:
-        return grid_angles(self.grid)
-
-    @property
     def min_abs(self) -> float:
         return float(np.min(np.abs(self.values)))
 

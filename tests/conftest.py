@@ -149,7 +149,7 @@ def minimized_second_moment_golden(bk: np.ndarray) -> tuple[float, float]:
         return float(V(0.0)), 0.0
 
     step = 2.0 * math.pi / n
-    candidates = np.where(vals <= vmin + 1e-9 * max(1.0, abs(vmin)))[0]
+    candidates = np.where(vals <= vmin + (math.pi / n) ** 2 + 1e-9 * max(1.0, abs(vmin)))[0]
     best = (math.inf, 0.0)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     for idx in candidates:

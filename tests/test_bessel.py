@@ -24,6 +24,14 @@ def test_high_order_rescaling():
     assert np.all(np.diff(got[20:]) <= 0)
 
 
+@pytest.mark.parametrize("x", [1e3, 2e4])
+def test_large_argument(x):
+    # the recursion starts above int(x) and rescales many times on the way down
+    got = bessel_i_ratios(300, x)
+    ref = ive(np.arange(301), x) / ive(0, x)
+    assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+
 def test_zero_argument():
     got = bessel_i_ratios(5, 0.0)
     assert got[0] == 1.0

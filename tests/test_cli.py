@@ -143,6 +143,21 @@ def test_phase_min_command(capsys):
     assert payload["fitResidual"] < 1e-6
 
 
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_phase_min_modulus_file(tmp_path, monkeypatch, capsys, output):
+    # the 512 samples of exp(cos phi - 1) are the von Mises modulus at kappa 2
+    samples = np.exp(np.cos(pl.grid_angles(512)) - 1.0)
+    text = json.dumps(samples.tolist())
+    path = tmp_path / "modulus.json"
+    path.write_text(text)
+    argv = ("phase-min", "--winding", "1", "--output", output)
+    code, expected, _ = run(capsys, *argv, "--modulus", "vonmises", "--kappa", "2")
+    assert code == 0
+    assert run(capsys, *argv, "--modulus-file", str(path)) == (0, expected, "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, *argv, "--modulus-file", "-") == (0, expected, "")
+
+
 def test_f_scan_command(capsys):
     code, out, _ = run(
         capsys, "f-scan", "--targets", "0.5,1.0", "--output", "csv"

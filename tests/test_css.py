@@ -62,6 +62,15 @@ def test_tail_mass_guard():
     assert s.tail_mass() < 1e-10
 
 
+@pytest.mark.parametrize("S", [1e7, 1e300])
+def test_huge_squeezing_fails_before_the_recursion(S):
+    # the Bessel recursion costs O(S); a squeezing that the order-ratio bound
+    # already puts outside the window is rejected without running it
+    for call in (pl.css_state, pl.css_moments):
+        with pytest.raises(pl.TailMassError, match="above 1e-10"):
+            call(pl.CssParams(S, 0), W64)
+
+
 def test_rotated_packet_moments():
     rep = pl.css_moments(pl.CssParams(2.0, 3, center=np.pi / 2), W64)
     r1 = ive(1, 4.0) / ive(0, 4.0)

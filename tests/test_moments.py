@@ -142,6 +142,34 @@ def test_gamma_star_of_mirrored_minima_is_positive():
     assert mirrored >= 30
 
 
+def dense_second_moment(bk: np.ndarray, n: int = 2**16) -> np.ndarray:
+    """V(gamma) at gamma = 2 pi j / n, j = 0..n-1, by one FFT of the series."""
+    ks = np.arange(1, bk.size)
+    series = np.zeros(n, dtype=complex)
+    series[ks] = 4 * (-1.0) ** ks / ks**2 * bk[1:]
+    return np.pi**2 / 3 + (n * np.fft.ifft(series)).real
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-5])
+@pytest.mark.parametrize("M", [6, 24])
+def test_gamma_star_between_grid_points_is_found(M, eps):
+    # threefold ties at gamma = pi and +-pi/3 (c_0 = 1, c_{+-3} = -0.6 at
+    # M = 6; three S = 8 packets at M = 24), then the pi/3 minimum lowered
+    # by eps: the tie goes to +pi/3, and V(gamma_star) is the dense minimum
+    # although the coarse grid value nearest pi/3 lies ~1e-5 above pi's
+    W = SYM(M)
+    if M == 6:
+        c = np.zeros(W.dimension, dtype=complex)
+        c[[3, 6, 9]] = -0.6, 1.0, -0.6
+    else:
+        c = sum(pl.css_state(pl.CssParams(8.0, 0, center=x), W).coeffs for x in (np.pi, np.pi / 3, -np.pi / 3))
+    bump = pl.css_state(pl.CssParams(0.5, 0, center=np.pi / 3), W).coeffs
+    bk = circular_coefficients(pl.normalize(c + eps * bump, W))
+    v, gamma = minimized_second_moment(bk)
+    assert v <= np.min(dense_second_moment(bk)) + 1e-12
+    assert gamma == pytest.approx(np.pi / 3, abs=1e-12)
+
+
 def test_gamma_star_matches_extended_precision_newton():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
@@ -272,13 +300,14 @@ def test_modified_judge_margin_with_table():
     }
 
 
-def test_report_csv_row_format():
-    from packetlab.moments import CSV_HEADER
+def test_report_csv_row_format(capsys):
+    # the moment CSV leaves out tailMass, which the JSON carries
+    from packetlab.cli import main
 
-    rep = pl.moments(pl.css_state(pl.CssParams(1.0, 0), SYM(32)))
-    row = pl.report_to_csv_row(rep)
+    assert main(["css", "--S", "1", "--ell", "0", "-M", "32", "--output", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
     assert len(row.split(",")) == 9
-    assert CSV_HEADER.startswith("meanL,varL,meanCos")
+    assert header.startswith("meanL,varL,meanCos") and "tailMass" not in header
 
 
 def test_circular_coefficients_convention():
