@@ -35,7 +35,7 @@ import numpy as np
 
 from .bessel import bessel_i_ratios
 from .errors import IncompatibleFamilyError, IntegerWindingError, TailMassError
-from .moments import MomentReport, minimized_second_moment, circular_coefficients
+from .moments import MomentReport, combined_spread, delta_phi_p
 from .states import AngularState, ModeWindow
 
 # Relative coefficient mass allowed outside the window at construction.
@@ -117,26 +117,19 @@ def css_state(params: CssParams, window: ModeWindow) -> AngularState:
     return AngularState(window, c)
 
 
-def css_moments(params: CssParams, window: ModeWindow | None = None) -> MomentReport:
-    """Moment report of the squeezed packet, closed forms where they exist.
+def css_moments(params: CssParams, window: ModeWindow) -> MomentReport:
+    """Moment report of the squeezed packet on ``window``, closed forms
+    where they exist.
 
     The trigonometric moments, <L> and var L come from Bessel ratios; the
     gamma-minimized angle spread has no closed form and is evaluated
-    numerically on the constructed state (a window is only needed for that
-    part and for the tail diagnostic).
+    numerically on the constructed state, as is the tail diagnostic.
     """
     ell = _integer_ell(params.ell)
-    S = params.squeezing
-    g0 = params.center
-    if window is None:
-        window = ModeWindow.symmetric(max(64, abs(ell) + 8 * (1 + int(math.ceil(S)))))
     state = css_state(params, window)
-
-    if S == 0.0:
-        r1, r2 = 0.0, 0.0
-    else:
-        r = bessel_i_ratios(2, 2.0 * S)
-        r1, r2 = float(r[1]), float(r[2])
+    S, g0 = params.squeezing, params.center
+    r = bessel_i_ratios(2, 2.0 * S)
+    r1, r2 = float(r[1]), float(r[2])
 
     var_l = 0.5 * S * r1
     var_sin0 = 0.5 * (1.0 - r2)
@@ -149,10 +142,7 @@ def css_moments(params: CssParams, window: ModeWindow | None = None) -> MomentRe
     var_cos = cg**2 * var_cos0 + sg**2 * var_sin0
     var_sin = sg**2 * var_cos0 + cg**2 * var_sin0
 
-    vmin, gamma = minimized_second_moment(circular_coefficients(state))
-
-    r_sq = r1**2
-    combined = math.inf if r_sq < 1e-15 else math.sqrt((var_cos0 + var_sin0) / r_sq)
+    dphi, gamma = delta_phi_p(state)
     return MomentReport(
         mean_l=float(ell),
         var_l=var_l,
@@ -160,8 +150,8 @@ def css_moments(params: CssParams, window: ModeWindow | None = None) -> MomentRe
         var_cos=var_cos,
         mean_sin=mean_sin,
         var_sin=var_sin,
-        delta_phi_p=math.sqrt(max(vmin, 0.0)),
+        delta_phi_p=dphi,
         gamma_star=gamma,
-        delta_phi_combined=combined,
+        delta_phi_combined=combined_spread(var_cos0 + var_sin0, r1**2),
         tail_mass=state.tail_mass(),
     )

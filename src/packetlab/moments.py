@@ -180,6 +180,12 @@ def minimized_second_moment(bk: np.ndarray) -> tuple[float, float]:
     return best
 
 
+def combined_spread(var_sum: float, r_sq: float) -> float:
+    """sqrt(var_sum / r_sq) with var_sum = var cos + var sin and
+    r_sq = <cos>^2 + <sin>^2; +inf when r_sq < 1e-15 (eigenstates)."""
+    return math.inf if r_sq < 1e-15 else math.sqrt(var_sum / r_sq)
+
+
 def delta_phi_p(state: AngularState) -> tuple[float, float]:
     """Gamma-minimized periodic-angle spread and the minimizing shift.
 
@@ -207,19 +213,15 @@ def moments(state: AngularState) -> MomentReport:
     mean_l = float(np.sum(m * p))
     var_l = float(np.sum((m - mean_l) ** 2 * p))
 
+    # a window has at least 3 modes, so b_1 and b_2 exist
     bk = circular_coefficients(state)
-    mean_cos = float(bk[1].real) if bk.size > 1 else 0.0
-    mean_sin = float(-bk[1].imag) if bk.size > 1 else 0.0
-    cos2 = float(bk[2].real) if bk.size > 2 else 0.0
+    mean_cos = float(bk[1].real)
+    mean_sin = float(-bk[1].imag)
+    cos2 = float(bk[2].real)
     var_cos = _clamp_variance((1.0 + cos2) / 2.0 - mean_cos**2)
     var_sin = _clamp_variance((1.0 - cos2) / 2.0 - mean_sin**2)
 
     vmin, gamma = minimized_second_moment(bk)
-    r2 = mean_cos**2 + mean_sin**2
-    if r2 < 1e-15:
-        combined = math.inf
-    else:
-        combined = math.sqrt((var_cos + var_sin) / r2)
     return MomentReport(
         mean_l=mean_l,
         var_l=_clamp_variance(var_l),
@@ -229,7 +231,7 @@ def moments(state: AngularState) -> MomentReport:
         var_sin=var_sin,
         delta_phi_p=math.sqrt(max(vmin, 0.0)),
         gamma_star=gamma,
-        delta_phi_combined=combined,
+        delta_phi_combined=combined_spread(var_cos + var_sin, mean_cos**2 + mean_sin**2),
         tail_mass=state.tail_mass(),
     )
 
@@ -245,25 +247,10 @@ def relation_margins(state: AngularState, f_table=None) -> list[RelationMargin]:
     """
     rep = moments(state)
     dl = rep.delta_l
-    out = [
-        RelationMargin(
-            Relation.NAIVE_ROBERTSON,
-            dl * rep.delta_phi_p,
-            0.5,
-            dl * rep.delta_phi_p >= 0.5 - MARGIN_TOL,
-        ),
-        RelationMargin(
-            Relation.COS_RELATION,
-            dl * math.sqrt(rep.var_cos),
-            0.5 * abs(rep.mean_sin),
-            dl * math.sqrt(rep.var_cos) >= 0.5 * abs(rep.mean_sin) - MARGIN_TOL,
-        ),
-        RelationMargin(
-            Relation.SIN_RELATION,
-            dl * math.sqrt(rep.var_sin),
-            0.5 * abs(rep.mean_cos),
-            dl * math.sqrt(rep.var_sin) >= 0.5 * abs(rep.mean_cos) - MARGIN_TOL,
-        ),
+    rows = [
+        (Relation.NAIVE_ROBERTSON, dl * rep.delta_phi_p, 0.5),
+        (Relation.COS_RELATION, dl * math.sqrt(rep.var_cos), 0.5 * abs(rep.mean_sin)),
+        (Relation.SIN_RELATION, dl * math.sqrt(rep.var_sin), 0.5 * abs(rep.mean_cos)),
     ]
     if f_table is not None:
         denom = 1.0 - 3.0 * rep.delta_phi_p**2 / math.pi**2
@@ -271,9 +258,8 @@ def relation_margins(state: AngularState, f_table=None) -> list[RelationMargin]:
         # The table stores the squared-normalized factor (1 at 0, 35/8 at the
         # flat endpoint); the bound itself carries its square root.
         rhs = 0.5 * math.sqrt(max(f_table.interpolate(rep.delta_phi_p), 0.0))
-        out.append(
-            RelationMargin(Relation.MODIFIED_JUDGE, lhs, rhs, lhs >= rhs - MARGIN_TOL)
-        )
+        rows.append((Relation.MODIFIED_JUDGE, lhs, rhs))
+    out = [RelationMargin(rel, lhs, rhs, lhs >= rhs - MARGIN_TOL) for rel, lhs, rhs in rows]
     if math.isinf(rep.delta_phi_combined):
         # Eigenstates: Delta L = 0, Delta phi undefined; nothing to violate.
         out.append(RelationMargin(Relation.COMBINED_PHI, math.inf, 0.5, True))

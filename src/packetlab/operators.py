@@ -117,7 +117,8 @@ class OperatorMatrix:
             np.fill_diagonal(e, main)
             np.fill_diagonal(e[1:], sub)
             np.fill_diagonal(e[:, 1:], sup)
-        return _freeze(e)
+        e.flags.writeable = False
+        return e
 
 
 def build(op_id: OperatorId, window: ModeWindow) -> OperatorMatrix:

@@ -533,21 +533,20 @@ def _axis_pairs(a: np.ndarray, b: Bands, s, v: np.ndarray) -> list[SingularPair]
     (:func:`_iterate`) that stops each S as soon as its residual reaches
     roundoff of the local scale.
 
-    The arithmetic is the pencil's: when every band of B - beta is
-    imaginary, as on the sine pencils at beta = 0, T(iS) = (A - alpha) +
-    S Im(B - beta) is real and its bands are formed in ?gttrf's flat layout
-    (:func:`_system`); otherwise every S runs in complex arithmetic.
+    T(iS) = (A - alpha) + S m with m = -i (B - beta) is formed in place, in
+    ?gttrf's flat layout (:func:`_system`).  The arithmetic is the
+    pencil's: when every band of m is real (every band of B - beta is
+    imaginary, as on the sine pencils at beta = 0), T(iS) is real;
+    otherwise every S runs in complex arithmetic.
     """
-    s = np.asarray(s, dtype=float)
-    if any(np.any(x.real) for x in b):
-        lam = 1j * s[:, None]
-        return _iterate(_stack(-lam * b[0], a - lam * b[1], -lam * b[2]), v, a)
-    S = _system(s.size, a.size, float)
-    sub, main, sup = (_blocks(x, a.size)[: s.size] for x in S)
-    np.multiply(s[:, None], b[0].imag, out=sub[:, :-1])
-    np.multiply(s[:, None], b[1].imag, out=main)
-    main += a
-    np.multiply(s[:, None], b[2].imag, out=sup[:, :-1])
+    s, d = np.asarray(s, dtype=float)[:, None], a.size
+    m = [-1j * x for x in b]
+    if not any(np.any(x.imag) for x in m):
+        m = [x.real for x in m]
+    S = _system(s.size, d, m[1].dtype)
+    for x, band in zip(S, m):
+        np.multiply(s, band, out=_blocks(x, d)[: s.size, : band.size])
+    _blocks(S[1], d)[: s.size] += a
     return _iterate(S, v, a)
 
 

@@ -72,7 +72,9 @@ class ModeWindow:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only C-contiguous copy of ``a``: a value type holds its own
+    data, so the caller's array stays its own and writeable."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ConvergenceError, IntegerWindingError, ModulusZeroWarning
 from .moments import PHI_P_MAX
 from .operators import OperatorId, build
-from .states import TAIL_TOL, TWO_PI, ModeWindow, grid_angles, tail_mass
+from .states import TAIL_TOL, TWO_PI, ModeWindow, _freeze, grid_angles, tail_mass
 
 #: profiles whose smallest |r| is below this (relative) level are treated as
 #: vanishing somewhere; linear-phase optimality is then not asserted
@@ -87,9 +87,7 @@ class ModulusProfile:
                 f"modulus is not normalized (integral r^2 = {power!r}); "
                 "use modulus_profile()"
             )
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze(v))
 
     @property
     def grid(self) -> int:
@@ -134,9 +132,7 @@ class PhaseProfile:
     optimizer_message: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.theta, dtype=float).copy()
-        t.flags.writeable = False
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", _freeze(np.asarray(self.theta, dtype=float)))
 
 
 def phase_profile(theta: np.ndarray, slope: float) -> PhaseProfile:
@@ -351,9 +347,7 @@ class FTable:
             a = np.asarray(getattr(self, name))
             if a.shape != (n,):
                 raise ValueError(f"FTable.{name} must hold one entry per point")
-            a = a.copy()
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(a))
 
     def interpolate(self, x: float) -> float:
         """Linear interpolation, clamped to the tabulated range."""
@@ -372,11 +366,15 @@ class FTable:
 
 def read_f_table(lines) -> FTable:
     """Parse :meth:`FTable.to_csv_rows` lines; ValueError unless there is a
-    row and every row has the deltaPhiP, f and converged columns."""
+    row, every row has the deltaPhiP, f and converged columns, deltaPhiP and
+    f are finite and deltaPhiP does not decrease (``interpolate`` reads the
+    rows as sorted)."""
     body = [ln.split(",") for ln in lines if ln.strip() and not ln.startswith("deltaPhiP")]
     if not body or any(len(row) < 3 for row in body):
         raise ValueError("an f-table needs rows of deltaPhiP,f,converged")
     data = np.array([[float(x) for x in row] for row in body])
+    if not np.all(np.isfinite(data[:, :2])) or np.any(np.diff(data[:, 0]) < 0.0):
+        raise ValueError("an f-table needs finite deltaPhiP and f, with deltaPhiP ascending")
     return FTable(data[:, 0], data[:, 1], data[:, 2].astype(bool))
 
 
@@ -475,22 +473,20 @@ def f_table(targets) -> FTable:
     )
 
 
+def _intercept(x: np.ndarray, f: np.ndarray) -> float:
+    """f0 of the least-squares line f = f0 + c x."""
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(x), x]), f, rcond=None)
+    return float(coef[0])
+
+
 def extrapolate_to_zero(table: FTable, n_points: int = 3) -> float:
     """Limit of f as Delta phi_p -> 0, fitting f = f0 + c t^2."""
-    t = table.delta_phi_p[:n_points]
-    f = table.f[:n_points]
-    A = np.column_stack([np.ones_like(t), t**2])
-    coef, *_ = np.linalg.lstsq(A, f, rcond=None)
-    return float(coef[0])
+    return _intercept(table.delta_phi_p[:n_points] ** 2, table.f[:n_points])
 
 
 def extrapolate_to_flat(table: FTable, n_points: int = 3) -> float:
     """Limit of f as Delta phi_p -> pi/sqrt(3), fitting linearly in the gap."""
-    t = table.delta_phi_p[-n_points:]
-    f = table.f[-n_points:]
-    A = np.column_stack([np.ones_like(t), PHI_P_MAX - t])
-    coef, *_ = np.linalg.lstsq(A, f, rcond=None)
-    return float(coef[0])
+    return _intercept(PHI_P_MAX - table.delta_phi_p[-n_points:], table.f[-n_points:])
 
 
 # -- example modulus profiles -------------------------------------------------

@@ -17,7 +17,9 @@ uncertainty floor against a linear program over the probability simplex, and
 the ground-state f table against the same ground states reported through
 the gamma-searching moment engine, its even-parity sector against the full
 mode window and a 40-digit mpmath solve, and the f table and the Newton
-phase minimizer against the same problems solved by L-BFGS-B.
+phase minimizer against the same problems solved by L-BFGS-B.  The
+minimizer's Delta L is also checked against the closed-form floor
+||(D - i w) psi|| of the linear phase.
 """
 
 import math
@@ -724,3 +726,23 @@ def minimize_phase_lbfgsb(r: pl.ModulusProfile, winding: float, *, initial_coeff
                 "the phase minimization did not converge"
             )
     return profile, delta_l
+
+
+def linear_phase_floor(r: np.ndarray, winding: float) -> float:
+    """||(D - i w) psi||_2 of psi = r e^{i w phi} on the grid phi_j = -pi +
+    2 pi j / G, w the winding: (D - i w) psi = r' e^{i w phi}, so this is
+    ||r'||, the Delta L of the linear phase, which is the least Delta L over
+    phases of that winding for an admissible modulus (periodic at integer w,
+    sign-flipping around the circle at half-integer w).
+
+    D is this oracle's own FFT derivative of the assembled (periodic) psi,
+    with the Nyquist term of an even G dropped.
+    """
+    G = r.size
+    phi = -np.pi + 2.0 * np.pi * np.arange(G) / G
+    psi = r * np.exp(1j * winding * phi)
+    k = np.fft.fftfreq(G, 1.0 / G)
+    if G % 2 == 0:
+        k[G // 2] = 0.0
+    u = np.fft.ifft(1j * k * np.fft.fft(psi)) - 1j * winding * psi
+    return math.sqrt(2.0 * np.pi / G * float(np.sum(np.abs(u) ** 2)))

@@ -86,6 +86,34 @@ def test_relations_with_f_table(tmp_path, capsys):
     assert "ModifiedJudge" in names
 
 
+@pytest.fixture(scope="module")
+def f_table_rows():
+    return pl.f_table([0.2, 0.6, 1.0, 1.4, 1.7]).to_csv_rows()
+
+
+@pytest.mark.parametrize("edit", ["reversed", "nan-deltaPhiP", "nan-f"])
+def test_relations_rejects_unsorted_or_non_finite_f_table(tmp_path, capsys, f_table_rows, edit):
+    # interpolation reads the rows as sorted: a reversed table would give
+    # ModifiedJudge the wrong bound with exit 0
+    header, *rows = f_table_rows
+    rows = {
+        "reversed": rows[::-1],
+        "nan-deltaPhiP": rows[:2] + ["nan,2.0,1"] + rows[2:],
+        "nan-f": rows[:2] + ["1.1,nan,1"] + rows[2:],
+    }[edit]
+    spath = tmp_path / "s.json"
+    spath.write_text(pl.state_to_json(pl.css_state(pl.CssParams(1.0, 0), pl.ModeWindow.symmetric(32))))
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("\n".join(f_table_rows))
+    bad.write_text("\n".join([header, *rows]))
+    code, _, _ = run(capsys, "relations", "--state", str(spath), "--f-table", str(good))
+    assert code == 0
+    code, out, err = run(capsys, "relations", "--state", str(spath), "--f-table", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "ascending" in err
+
+
 def test_pencil_json(capsys):
     code, out, _ = run(capsys, "pencil", "--family", "circle", "--alpha", "1", "--truncation", "32")
     assert code == 0

@@ -46,7 +46,7 @@ def test_non_integer_ell_rejected():
     with pytest.raises(pl.IntegerWindingError):
         pl.css_state(pl.CssParams(1.0, 0.5), W64)
     with pytest.raises(pl.IntegerWindingError):
-        pl.css_moments(pl.CssParams(1.0, 1.2))
+        pl.css_moments(pl.CssParams(1.0, 1.2), W64)
 
 
 @pytest.mark.parametrize("center", [np.nan, np.inf])

@@ -51,6 +51,32 @@ def test_coeffs_immutable():
         s.coeffs[0] = 1.0
 
 
+W4 = pl.ModeWindow.symmetric(4)
+
+
+@pytest.mark.parametrize(
+    "build, a",
+    [
+        (lambda a: pl.AngularState(W4, a).coeffs, np.array([1.0] + [0.0] * 8, dtype=complex)),
+        (lambda a: pl.GridFunction(a).samples, np.ones(8, dtype=complex)),
+        (lambda a: pl.OperatorMatrix(pl.OperatorId.ANGULAR_MOMENTUM, W4, (a,)).data[0], np.arange(-4.0, 5.0)),
+        (lambda a: pl.ModulusProfile(a).values, np.full(8, (2.0 * np.pi) ** -0.5)),
+        (lambda a: pl.PhaseProfile(a, 0.0, 0.0, 0.0).theta, np.zeros(8)),
+        (lambda a: pl.FTable(a, np.ones(2), np.ones(2, dtype=bool)).delta_phi_p, np.array([0.5, 1.0])),
+    ],
+    ids=["AngularState", "GridFunction", "OperatorMatrix", "ModulusProfile", "PhaseProfile", "FTable"],
+)
+def test_value_types_hold_their_own_copy(build, a):
+    # a value type freezes its own copy: the caller's array stays writeable,
+    # and the caller's next write does not reach the value
+    held = build(a)
+    assert not held.flags.writeable
+    assert a.flags.writeable
+    assert not np.shares_memory(held, a)
+    a[0] = 5.0
+    assert held[0] != 5.0
+
+
 def test_to_grid_pure_modes():
     w = pl.ModeWindow.symmetric(1)
     e = np.zeros(3)

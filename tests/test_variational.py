@@ -10,6 +10,7 @@ from conftest import (
     f_table_lbfgsb,
     f_table_via_moments,
     full_window_ground_state,
+    linear_phase_floor,
     minimize_phase_lbfgsb,
     sector_ground_state_mp,
 )
@@ -97,7 +98,7 @@ def test_minimize_phase_vonmises_matches_css():
     # modulus of the squeezing-one packet: kappa = 2S
     r = pl.vonmises_modulus(G, 2.0)
     prof, dl = pl.minimize_phase(r, 0)
-    rep = pl.css_moments(pl.CssParams(1.0, 0))
+    rep = pl.css_moments(pl.CssParams(1.0, 0), pl.ModeWindow.symmetric(64))
     assert dl == pytest.approx(rep.delta_l, abs=1e-9)
 
 
@@ -129,6 +130,32 @@ def test_minimize_phase_half_integer_floor():
     for w in (0.5, -0.5):
         prof, dl = pl.minimize_phase(r, w)
         assert dl >= 0.5 - 1e-9
+
+
+def test_minimize_phase_meets_linear_phase_floor_on_criterion_6_moduli():
+    # a nowhere-vanishing periodic modulus: the minimum over phases of
+    # integer winding w is the linear phase's ||(D - i w) psi|| = ||r'||
+    for seed in CRITERION_6_SEEDS:
+        r = pl.random_smooth_modulus(G, seed)
+        for w in (-2, -1, 1, 2):
+            _, dl = pl.minimize_phase(r, w)
+            assert dl == pytest.approx(linear_phase_floor(r.values, w), rel=1e-13)
+
+
+# (1 + a cos phi) cos(phi/2) e^{i phi/2} has the modes -1, 0, 1, 2 with
+# weights a/4, (1 + a/2)/2, (1 + a/2)/2, a/4; at a = 0.3, <L> = 1/2 and
+# (Delta L)^2 = 287/538 - 1/4 = 305/1076.  At a = 0 (cos(phi/2)),
+# Delta L = 1/2.
+@pytest.mark.parametrize("ripple, floor", [(0.3, np.sqrt(305 / 1076)), (0.0, 0.5)])
+@pytest.mark.parametrize("grid", [128, 512, 1024])
+def test_minimize_phase_meets_linear_phase_floor_at_half_winding(ripple, floor, grid):
+    phi = pl.grid_angles(grid)
+    r = pl.modulus_profile((1.0 + ripple * np.cos(phi)) * np.cos(0.5 * phi))
+    assert linear_phase_floor(r.values, 0.5) == pytest.approx(floor, rel=1e-14)
+    # cos(phi/2) vanishes at the grid point -pi
+    with pytest.warns(pl.ModulusZeroWarning):
+        _, dl = pl.minimize_phase(r, 0.5)
+    assert dl == pytest.approx(floor, rel=1e-13)
 
 
 def test_minimize_phase_bad_winding():
