@@ -74,12 +74,10 @@ from .variational import (
     extrapolate_to_flat,
     extrapolate_to_zero,
     f_table,
-    first_integral,
     linear_phase,
     mean_l_of,
     minimize_phase,
     modulus_profile,
-    phase_profile,
     random_smooth_modulus,
     read_f_table,
     uniform_modulus,

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import css, states, variational
 from . import pencil as pencil_mod
-from .errors import ConvergenceError, PacketLabError, SingularPencilError
+from .errors import ConvergenceError, IntegerWindingError, PacketLabError, SingularPencilError
 from .moments import PHI_P_MAX, moments, relation_margins
 
 EXIT_OK = 0
@@ -253,16 +253,24 @@ def _cmd_phase_min(args) -> tuple[list[str], object, int]:
     else:
         r = variational.random_smooth_modulus(G, args.seed)
     profile, delta_l = variational.minimize_phase(r, args.winding)
+    if not profile.admissible:
+        raise IntegerWindingError(
+            f"winding {profile.slope} is not admissible on this modulus: r e^(i w phi) jumps at phi = +-pi"
+        )
     payload = {
         "winding": profile.slope,
         "offset": profile.offset,
         "fitResidual": profile.fit_residual,
         "deltaL": delta_l,
         "meanL": variational.mean_l_of(r, profile),
-        "optimizerSuccess": profile.optimizer_success,
+        "admissible": profile.admissible,
+        "gradientNorm": profile.gradient_norm,
+        "leastCurvature": profile.least_curvature,
+        "certified": profile.certified,
         "modulusVanishes": r.vanishes,
     }
-    return _csv(("winding", "offset", "fitResidual", "deltaL", "meanL"), [payload]), payload, EXIT_OK
+    code = EXIT_OK if profile.certified else EXIT_NUMERICAL
+    return _csv(("winding", "offset", "fitResidual", "deltaL", "meanL"), [payload]), payload, code
 
 
 def _cmd_f_scan(args) -> tuple[list[str], object, int]:

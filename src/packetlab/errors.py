@@ -22,7 +22,8 @@ class WindowMismatchError(PacketLabError):
 
 
 class IntegerWindingError(PacketLabError):
-    """Non-integer mean angular momentum requested for a periodic state."""
+    """A mean angular momentum or winding that periodicity of the state does
+    not admit (a non-integer one for a periodic state)."""
 
 
 class TailMassError(PacketLabError):
@@ -43,4 +44,5 @@ class ConvergenceError(PacketLabError):
 
 
 class ModulusZeroWarning(UserWarning):
-    """Modulus profile vanishes somewhere; linear-phase optimality not asserted."""
+    """Modulus profile vanishes somewhere on the grid: the phase is free at the
+    zeros, and a linear phase that does not certify is returned, not raised."""

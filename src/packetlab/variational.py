@@ -6,18 +6,20 @@ e^{i theta(phi)} splits the angular-momentum uncertainty into
     (Delta L)^2 = integral (r'^2 + r^2 theta'^2) dphi
                   - (integral r^2 theta' dphi)^2,
 
-with the normalization integral r^2 dphi = 1.  At fixed modulus the minimum
-over theta is attained by a linear phase, and periodicity of psi quantizes
-the admissible slopes: integer winding for a periodic modulus, half-integer
-winding when the modulus flips sign around the circle (the antiperiodic
-class).  The minimum then satisfies <L> = winding, and half-integer windings
-cannot reach below Delta L = 1/2 (two neighboring integer modes mixed
-equally).
+with the normalization integral r^2 dphi = 1.  That is ||r'||^2 plus
+integral r^2 theta'^2 - (integral r^2 theta')^2, which by Cauchy-Schwarz
+vanishes exactly for a linear phase: at fixed modulus the minimum over theta
+is the linear phase, and periodicity of psi quantizes its slope (integer
+winding for a periodic modulus, half-integer winding when the modulus flips
+sign around the circle, the antiperiodic class).  The minimum then satisfies
+<L> = winding, and half-integer windings cannot reach below Delta L = 1/2
+(Wirtinger's inequality for antiperiodic functions; Hardy, Littlewood &
+Polya, Inequalities, 1934).
 
 Derivatives never touch theta directly: the assembled psi is differentiated
-spectrally, which avoids the seam artifacts of the discontinuous angle, and
-the phase is minimized by Newton trust-region steps on the exact gradient
-and Hessian of that grid objective.
+spectrally, which avoids the seam artifacts of the discontinuous angle.
+``minimize_phase`` returns the linear phase and certifies it on the grid by
+the exact gradient and least Hessian eigenvalue of that grid objective.
 
 The module also computes the numeric right-hand-side factor f of the
 modified (Judge-type) uncertainty relation, the least Delta L at fixed
@@ -48,13 +50,18 @@ from .operators import OperatorId, build
 from .states import TAIL_TOL, TWO_PI, ModeWindow, _freeze, grid_angles, tail_mass
 
 #: profiles whose smallest |r| is below this (relative) level are treated as
-#: vanishing somewhere; linear-phase optimality is then not asserted
+#: vanishing somewhere: minimize_phase then returns a phase that does not
+#: certify instead of raising, and a seam sample this small admits both
+#: winding classes
 ZERO_LEVEL = 1e-9
 
-#: cosine and sine harmonics of the periodic phase correction in minimize_phase
+#: cosine and sine harmonics of the periodic phase correction that
+#: minimize_phase certifies over (fewer where the grid would alias them)
 PHASE_HARMONICS = 40
-#: largest variation of the first integral accepted from a converged minimizer
-FIRST_INTEGRAL_TOL = 1e-6
+#: the linear phase is certified when the least Hessian eigenvalue lam of the
+#: grid objective is positive and its quadratic model can fall by at most
+#: |grad|^2 / (2 lam) <= PHASE_CERT_TOL
+PHASE_CERT_TOL = 1e-10
 
 #: f_table: the mode window -F_MODES..F_MODES of the ground state and the
 #: cap on Newton steps per target
@@ -94,14 +101,22 @@ class ModulusProfile:
         return int(self.values.size)
 
     @property
-    def min_abs(self) -> float:
-        return float(np.min(np.abs(self.values)))
-
-    @property
     def vanishes(self) -> bool:
         """Whether |r| falls to ZERO_LEVEL of its peak somewhere on the grid
         (``minimize_phase`` then warns ModulusZeroWarning)."""
-        return self.min_abs <= ZERO_LEVEL * float(np.max(np.abs(self.values)))
+        a = np.abs(self.values)
+        return float(np.min(a)) <= ZERO_LEVEL * float(np.max(a))
+
+    def admits(self, winding: float) -> bool:
+        """Whether r e^{i winding phi} is continuous across the seam phi = +-pi.
+        e^{i w phi} flips sign there for half-integer w, so r_0 and r_{G-1}
+        need opposite signs for half-integer w and one sign for integer w
+        (the parity of r's sign changes along [-pi, pi), not wrapped).  A
+        seam sample at ZERO_LEVEL of the peak admits both classes."""
+        v = self.values
+        if min(abs(v[0]), abs(v[-1])) <= ZERO_LEVEL * float(np.max(np.abs(v))):
+            return True
+        return bool(v[0] * v[-1] < 0.0) == (winding != round(winding))
 
 
 def modulus_profile(values) -> ModulusProfile:
@@ -119,29 +134,33 @@ def modulus_profile(values) -> ModulusProfile:
 class PhaseProfile:
     """Phase samples with their linear fit theta ~ slope * phi + offset.
 
-    A profile returned by :func:`minimize_phase` also carries the result of
-    its trust-exact solve: ``optimizer_success`` and ``optimizer_message``
-    (None and "" for profiles built directly).
+    A profile returned by :func:`minimize_phase` also carries whether its
+    modulus ``admissible`` takes the winding, and the certificate of the
+    grid objective at the phase: the ``gradient_norm``, the least Hessian
+    eigenvalue ``least_curvature`` and whether they ``certified`` it.  All
+    are None for profiles built directly.
     """
 
     theta: np.ndarray
     slope: float
     offset: float
     fit_residual: float
-    optimizer_success: bool | None = None
-    optimizer_message: str = ""
+    admissible: bool | None = None
+    gradient_norm: float | None = None
+    least_curvature: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _freeze(np.asarray(self.theta, dtype=float)))
 
-
-def phase_profile(theta: np.ndarray, slope: float) -> PhaseProfile:
-    """Wrap samples, fitting the offset at the given (topological) slope."""
-    theta = np.asarray(theta, dtype=float)
-    phi = grid_angles(theta.size)
-    offset = float(np.mean(theta - slope * phi))
-    resid = float(np.max(np.abs(theta - slope * phi - offset)))
-    return PhaseProfile(theta, float(slope), offset, resid)
+    @property
+    def certified(self) -> bool | None:
+        """least_curvature > 0 and gradient_norm^2 / (2 least_curvature)
+        <= PHASE_CERT_TOL: the quadratic model of (Delta L)^2 about the phase
+        cannot fall by more than that."""
+        if self.gradient_norm is None:
+            return None
+        g, lam = self.gradient_norm, self.least_curvature
+        return lam > 0.0 and g * g / (2.0 * lam) <= PHASE_CERT_TOL
 
 
 def linear_phase(G: int, winding: float, offset: float = 0.0) -> PhaseProfile:
@@ -192,15 +211,6 @@ def mean_l_of(r: ModulusProfile, theta: PhaseProfile) -> float:
     return _l_moments(r.values, theta.theta)[0]
 
 
-def first_integral(r: ModulusProfile, theta: PhaseProfile) -> np.ndarray:
-    """Pointwise r^2 (theta' - <L>): constant for a variational minimizer."""
-    phi = grid_angles(r.grid)
-    remainder = theta.theta - theta.slope * phi  # periodic part
-    dtheta = np.real(_spectral_derivative(remainder + 0j)) + theta.slope
-    mean_l = mean_l_of(r, theta)
-    return r.values**2 * (dtheta - mean_l)
-
-
 def _check_winding(winding: float) -> float:
     if not math.isfinite(winding) or abs(2.0 * winding - round(2.0 * winding)) > 1e-9:
         raise IntegerWindingError(
@@ -235,87 +245,48 @@ def _phase_objective(x, rv, theta0, basis, hessian=False):
     )
 
 
-def minimize_phase(
-    r: ModulusProfile,
-    winding: float,
-    *,
-    initial_coeffs: np.ndarray | None = None,
-) -> tuple[PhaseProfile, float]:
-    """Minimize Delta L over phases with the given total winding.
+def minimize_phase(r: ModulusProfile, winding: float) -> tuple[PhaseProfile, float]:
+    """The least Delta L over phases of the given winding: the linear phase
+    theta = winding * phi (see the module docstring), with its grid Delta L
+    and certificate.
 
-    The phase is parametrized as theta = winding * phi plus a periodic
-    correction expanded in PHASE_HARMONICS cosine and sine harmonics, so the
-    winding class is enforced exactly rather than fitted.  The default start
-    is the zero correction (``initial_coeffs`` overrides it: the cosine then
-    the sine coefficients).  One Newton trust-region solve (``trust-exact``)
-    runs on the exact gradient and Hessian of the grid objective (see
-    ``_phase_objective``); for a nowhere-vanishing modulus the minimizer is
-    then checked against the Euler-Lagrange first integral
-    r^2 (theta' - <L>) = const and against linearity of the phase.
+    The profile carries ``admissible`` (``ModulusProfile.admits``) and the
+    exact gradient norm and least Hessian eigenvalue of the grid objective
+    (``_phase_objective``) at that phase, over a periodic correction of
+    PHASE_HARMONICS cosine and sine harmonics (at most (G - 1) // 2, so that
+    none aliases on the grid); ``certified`` reads them.  An inadmissible
+    pair is returned, not raised: its psi jumps at the seam.
 
-    Returns
-    -------
-    (PhaseProfile, delta_l)
-        The minimizing phase (slope = requested winding, offset and fit
-        residual attached, and trust-exact's ``optimizer_success`` and
-        ``optimizer_message``) and its Delta L.  An unsuccessful exit is
-        reported there, not raised; the first-integral check decides whether
-        the minimum is accepted.
-
-    Warns
-    -----
-    ModulusZeroWarning
-        When the modulus (numerically) vanishes somewhere; the minimizer may
-        then concentrate theta' at the zeros and is returned with diagnostics
-        but without the linearity assertion.
+    Raises ConvergenceError when an admissible pair on a modulus that
+    vanishes nowhere does not certify.  Warns ModulusZeroWarning when the
+    modulus vanishes somewhere: theta' is then free at the zeros, and a
+    phase that does not certify is returned, not raised.
     """
-    from scipy.optimize import minimize
-
     winding = _check_winding(winding)
-    phi = grid_angles(r.grid)
-    rv = r.values
-
-    has_zero = r.vanishes
-    if has_zero:
+    if r.vanishes:
         warnings.warn(
-            "modulus vanishes on the grid; skipping the linear-phase assertion",
+            "modulus vanishes on the grid; the phase is returned whether or not it certifies",
             ModulusZeroWarning,
         )
-    # A half-integer winding over a nowhere-vanishing periodic modulus does
-    # not assemble into a single-valued state; the optimizer still reports
-    # the grid-regularized minimum, but the Euler-Lagrange identity only
-    # characterizes admissible pairings.
-    admissible = (not has_zero) and abs(winding - round(winding)) < 1e-12
-
-    ns = np.arange(1, PHASE_HARMONICS + 1)
+    G = r.grid
+    phi = grid_angles(G)
+    ns = np.arange(1, min(PHASE_HARMONICS, (G - 1) // 2) + 1)
     basis = np.hstack([np.cos(np.outer(phi, ns)), np.sin(np.outer(phi, ns))])
-    x0 = np.zeros(2 * PHASE_HARMONICS) if initial_coeffs is None else np.asarray(initial_coeffs, float)
-    res = minimize(
-        _phase_objective,
-        x0,
-        args=(rv, winding * phi, basis),
-        jac=True,
-        hess=lambda x, *args: _phase_objective(x, *args, hessian=True)[2],
-        method="trust-exact",
-        options=dict(gtol=1e-8),
+    value, grad, hess = _phase_objective(
+        np.zeros(basis.shape[1]), r.values, winding * phi, basis, hessian=True
     )
-    theta = winding * phi + basis @ res.x
     profile = replace(
-        phase_profile(theta, winding),
-        optimizer_success=bool(res.success),
-        optimizer_message=str(res.message),
+        linear_phase(G, winding),
+        admissible=r.admits(winding),
+        gradient_norm=float(np.linalg.norm(grad)),
+        least_curvature=float(np.linalg.eigvalsh(hess)[0]),
     )
-    delta_l = math.sqrt(max(res.fun, 0.0))
-
-    if admissible:
-        fi = first_integral(r, profile)
-        spread = float(np.max(np.abs(fi - np.mean(fi))))
-        if spread > FIRST_INTEGRAL_TOL:
-            raise ConvergenceError(
-                f"first integral varies by {spread:.2e} > {FIRST_INTEGRAL_TOL}; "
-                "the phase minimization did not converge"
-            )
-    return profile, delta_l
+    if profile.admissible and not r.vanishes and not profile.certified:
+        raise ConvergenceError(
+            f"the linear phase of winding {winding} does not certify: gradient norm "
+            f"{profile.gradient_norm:.2e}, least Hessian eigenvalue {profile.least_curvature:.2e}"
+        )
+    return profile, math.sqrt(max(value, 0.0))
 
 
 # -- numeric f table for the modified uncertainty relation -------------------
@@ -325,10 +296,12 @@ def minimize_phase(
 class FTable:
     """Sampled f(Delta phi_p), squared normalization (1 at 0, 35/8 at max).
 
-    ``rounds`` is the number of Newton steps (eigendecompositions) each
-    point took and ``violation`` its final |Delta phi_p - target| (at most
-    F_NEWTON_TOL where converged); a table read back from CSV did not record
-    them and carries rounds 0 and violation NaN.
+    ``delta_phi_p`` ascends (ties allowed), since ``interpolate`` reads the
+    points as sorted; ValueError otherwise.  ``rounds`` is the number of
+    Newton steps (eigendecompositions) each point took and ``violation`` its
+    final |Delta phi_p - target| (at most F_NEWTON_TOL where converged); a
+    table read back from CSV did not record them and carries rounds 0 and
+    violation NaN.
     """
 
     delta_phi_p: np.ndarray
@@ -348,6 +321,8 @@ class FTable:
             if a.shape != (n,):
                 raise ValueError(f"FTable.{name} must hold one entry per point")
             object.__setattr__(self, name, _freeze(a))
+        if np.any(np.diff(self.delta_phi_p) < 0.0):
+            raise ValueError("FTable.delta_phi_p must be ascending")
 
     def interpolate(self, x: float) -> float:
         """Linear interpolation, clamped to the tabulated range."""
@@ -367,15 +342,17 @@ class FTable:
 def read_f_table(lines) -> FTable:
     """Parse :meth:`FTable.to_csv_rows` lines; ValueError unless there is a
     row, every row has the deltaPhiP, f and converged columns, deltaPhiP and
-    f are finite and deltaPhiP does not decrease (``interpolate`` reads the
-    rows as sorted)."""
+    f are finite, converged is 0 or 1, and deltaPhiP does not decrease
+    (checked by ``FTable``)."""
     body = [ln.split(",") for ln in lines if ln.strip() and not ln.startswith("deltaPhiP")]
     if not body or any(len(row) < 3 for row in body):
         raise ValueError("an f-table needs rows of deltaPhiP,f,converged")
     data = np.array([[float(x) for x in row] for row in body])
-    if not np.all(np.isfinite(data[:, :2])) or np.any(np.diff(data[:, 0]) < 0.0):
+    if not np.all(np.isfinite(data[:, :2])):
         raise ValueError("an f-table needs finite deltaPhiP and f, with deltaPhiP ascending")
-    return FTable(data[:, 0], data[:, 1], data[:, 2].astype(bool))
+    if not np.all((data[:, 2] == 0.0) | (data[:, 2] == 1.0)):
+        raise ValueError("an f-table's converged column holds 0 or 1")
+    return FTable(data[:, 0], data[:, 1], data[:, 2] == 1.0)
 
 
 def _even_sector(window: ModeWindow):

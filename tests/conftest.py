@@ -16,15 +16,15 @@ classification it replaced, the two-level
 uncertainty floor against a linear program over the probability simplex, and
 the ground-state f table against the same ground states reported through
 the gamma-searching moment engine, its even-parity sector against the full
-mode window and a 40-digit mpmath solve, and the f table and the Newton
-phase minimizer against the same problems solved by L-BFGS-B.  The
-minimizer's Delta L is also checked against the closed-form floor
-||(D - i w) psi|| of the linear phase.
+mode window and a 40-digit mpmath solve, and the f table and the
+closed-form phase minimizer against the same problems solved by L-BFGS-B
+(with the Euler-Lagrange first-integral check).  The minimizer's Delta L is
+also checked against the floor ||(D - i w) psi|| of the linear phase,
+computed with this module's own FFT derivative.
 """
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -636,25 +636,43 @@ def f_table_lbfgsb(targets, m: int = 0, *, grid: int = 512) -> pl.FTable:
     )
 
 
-def minimize_phase_lbfgsb(r: pl.ModulusProfile, winding: float, *, initial_coeffs=None):
+#: largest variation of the first integral r^2 (theta' - <L>) accepted from
+#: a converged minimization by minimize_phase_lbfgsb
+FIRST_INTEGRAL_TOL = 1e-6
+
+
+def phase_profile(theta: np.ndarray, slope: float) -> pl.PhaseProfile:
+    """Wrap phase samples, fitting the offset at the given (topological) slope."""
+    phi = pl.grid_angles(theta.size)
+    offset = float(np.mean(theta - slope * phi))
+    resid = float(np.max(np.abs(theta - slope * phi - offset)))
+    return pl.PhaseProfile(theta, float(slope), offset, resid)
+
+
+def first_integral(r: pl.ModulusProfile, theta: pl.PhaseProfile) -> np.ndarray:
+    """Pointwise r^2 (theta' - <L>): constant for a variational minimizer (the
+    Euler-Lagrange first integral), theta' by the FFT of theta's periodic part."""
+    from packetlab.variational import _spectral_derivative
+
+    phi = pl.grid_angles(r.grid)
+    dtheta = np.real(_spectral_derivative(theta.theta - theta.slope * phi + 0j)) + theta.slope
+    return r.values**2 * (dtheta - pl.mean_l_of(r, theta))
+
+
+def minimize_phase_lbfgsb(r: pl.ModulusProfile, winding: float):
     """Phase minimization by L-BFGS-B on the continuum gradient, then a
     two-step Newton polish on the continuum Hessian, keeping the better of
-    the two.
+    the two, from the zero correction.
 
-    The same problem and parametrization as :func:`packetlab.minimize_phase`
+    The problem and parametrization of :func:`packetlab.minimize_phase`
     (winding * phi plus PHASE_HARMONICS cosine and sine harmonics, the
-    spectral derivative of the assembled psi, the first-integral check), but
-    the gradient is that of the continuum functional rather than of the grid
-    objective being minimized.
+    spectral derivative of the assembled psi), minimized by search instead
+    of taken in closed form, and checked against the Euler-Lagrange first
+    integral r^2 (theta' - <L>) = const where the modulus vanishes nowhere
+    and the winding is an integer.  The gradient is that of the continuum
+    functional rather than of the grid objective being minimized.
     """
-    from packetlab.variational import (
-        FIRST_INTEGRAL_TOL,
-        PHASE_HARMONICS,
-        ZERO_LEVEL,
-        _check_winding,
-        _l_moments,
-        phase_profile,
-    )
+    from packetlab.variational import PHASE_HARMONICS, _check_winding, _l_moments
 
     winding = _check_winding(winding)
     G = r.grid
@@ -662,7 +680,7 @@ def minimize_phase_lbfgsb(r: pl.ModulusProfile, winding: float, *, initial_coeff
     rv = r.values
     h = 2.0 * np.pi / G
 
-    has_zero = r.min_abs <= ZERO_LEVEL * float(np.max(np.abs(rv)))
+    has_zero = r.vanishes
     if has_zero:
         warnings.warn(
             "modulus vanishes on the grid; skipping the linear-phase assertion",
@@ -686,10 +704,9 @@ def minimize_phase_lbfgsb(r: pl.ModulusProfile, winding: float, *, initial_coeff
         grad = 2.0 * h * (u1 @ dbasis)
         return val, grad
 
-    x0 = np.zeros(2 * PHASE_HARMONICS) if initial_coeffs is None else np.asarray(initial_coeffs, float)
     res = minimize(
         objective,
-        x0,
+        np.zeros(2 * PHASE_HARMONICS),
         jac=True,
         method="L-BFGS-B",
         options=dict(maxiter=2000, ftol=1e-18, gtol=1e-12, maxcor=60, maxls=60),
@@ -709,16 +726,12 @@ def minimize_phase_lbfgsb(r: pl.ModulusProfile, winding: float, *, initial_coeff
     if objective(x)[0] > objective(res.x)[0]:
         x = res.x
     theta = winding * phi + basis @ x
-    profile = replace(
-        phase_profile(theta, winding),
-        optimizer_success=bool(res.success),
-        optimizer_message=str(res.message),
-    )
+    profile = phase_profile(theta, winding)
     mean_l, mean_l2, _, _ = _l_moments(rv, theta)
     delta_l = math.sqrt(max(mean_l2 - mean_l**2, 0.0))
 
     if admissible:
-        fi = pl.first_integral(r, profile)
+        fi = first_integral(r, profile)
         spread = float(np.max(np.abs(fi - np.mean(fi))))
         if spread > FIRST_INTEGRAL_TOL:
             raise pl.ConvergenceError(
@@ -726,6 +739,14 @@ def minimize_phase_lbfgsb(r: pl.ModulusProfile, winding: float, *, initial_coeff
                 "the phase minimization did not converge"
             )
     return profile, delta_l
+
+
+def antiperiodic_modulus(G: int, seed: int) -> pl.ModulusProfile:
+    """``random_smooth_modulus(G, seed)`` times cos(phi/2), normalized: a
+    modulus that flips sign around the circle, so half-integer windings are
+    admissible on it (its seam sample r(-pi) is ~6e-17 of the peak)."""
+    phi = pl.grid_angles(G)
+    return pl.modulus_profile(pl.random_smooth_modulus(G, seed).values * np.cos(0.5 * phi))
 
 
 def linear_phase_floor(r: np.ndarray, winding: float) -> float:

@@ -14,10 +14,12 @@ from scipy.special import ive
 import packetlab as pl
 from conftest import (
     align_phase,
+    antiperiodic_modulus,
     eval_state,
     gl_matrix_element,
     oracle_delta_phi_p,
     oracle_moments,
+    linear_phase_floor,
     oscillator_branches,
     uncertainty_floor_bruteforce,
 )
@@ -166,28 +168,46 @@ def test_criterion_5_f_table_endpoints():
 
 
 def test_criterion_6_linear_phase_minimizer():
-    worst_fit = worst_mean = 0.0
+    # integer windings on the positive (periodic) moduli; half-integer
+    # windings on the same moduli times cos(phi/2), the antiperiodic class
+    # where they are admissible, and refused on the periodic ones
+    worst_fit = worst_mean = worst_half_oracle = 0.0
     worst_half_floor = np.inf
+    half_on_periodic = set()
     for seed in range(100, 120):
         r = pl.random_smooth_modulus(512, seed)
         for w in (-2, -1, 0, 1, 2):
             prof, _ = pl.minimize_phase(r, w)
             worst_fit = max(worst_fit, prof.fit_residual)
             worst_mean = max(worst_mean, abs(pl.mean_l_of(r, prof) - w))
+        anti = antiperiodic_modulus(512, seed)
         for w in (0.5, -0.5):
-            _, dl = pl.minimize_phase(r, w)
+            half_on_periodic.add(pl.minimize_phase(r, w)[0].admissible)
+            with pytest.warns(pl.ModulusZeroWarning):  # cos(phi/2) is 0 at -pi
+                _, dl = pl.minimize_phase(anti, w)
             worst_half_floor = min(worst_half_floor, dl)
-    ok = worst_fit <= 1e-6 and worst_mean <= 1e-8 and worst_half_floor >= 0.5 - 1e-9
+            floor = linear_phase_floor(anti.values, w)
+            worst_half_oracle = max(worst_half_oracle, abs(dl - floor) / floor)
+    ok = (
+        worst_fit <= 1e-6
+        and worst_mean <= 1e-8
+        and worst_half_floor >= 0.5 - 1e-9
+        and worst_half_oracle <= 1e-13
+        and half_on_periodic == {False}
+    )
     _report(
         6,
         "linear-phase minimizer",
         ok,
         f"max fit residual {worst_fit:.2e}, max |<L> - winding| {worst_mean:.2e}, "
-        f"min half-integer Delta L {worst_half_floor:.3f}",
+        f"min half-integer Delta L {worst_half_floor:.3f} "
+        f"(against the linear-phase floor {worst_half_oracle:.1e} relative)",
     )
     assert worst_fit <= 1e-6
     assert worst_mean <= 1e-8
     assert worst_half_floor >= 0.5 - 1e-9
+    assert worst_half_oracle <= 1e-13
+    assert half_on_periodic == {False}
 
 
 def test_criterion_7_oscillator_corollary():

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,16 +204,62 @@ def test_phase_min_json_carries_solver_flags(capsys):
     code, out, _ = run(capsys, "phase-min", "--winding", "1", "--modulus", "vonmises", "--kappa", "2")
     payload = json.loads(out)
     assert code == 0
-    assert payload["optimizerSuccess"] is True and payload["modulusVanishes"] is False
+    assert payload["admissible"] is True and payload["certified"] is True
+    assert payload["gradientNorm"] <= 1e-10 and payload["leastCurvature"] > 0.0
+    assert payload["modulusVanishes"] is False
     with pytest.warns(pl.ModulusZeroWarning):
         code, out, _ = run(capsys, "phase-min", "--winding", "1", "--modulus", "half-cosine")
     payload = json.loads(out)
     assert code == 0
-    assert isinstance(payload["optimizerSuccess"], bool) and payload["modulusVanishes"] is True
+    assert payload["certified"] is True and payload["modulusVanishes"] is True
     with pytest.warns(pl.ModulusZeroWarning):
         code, out, _ = run(capsys, "phase-min", "--winding", "1", "--modulus", "half-cosine", "--output", "csv")
     assert code == 0
     assert out.split("\n")[0] == "winding,offset,fitResidual,deltaL,meanL"
+
+
+@pytest.mark.parametrize(
+    "argv, expected, printed",
+    [
+        (["--winding", "0.5", "--modulus", "uniform", "-G", "64"], 2, False),
+        (["--winding", "1.5", "--modulus", "vonmises"], 2, False),
+        (["--winding", "1", "--modulus", "half-cosine", "-G", "64"], 3, True),
+        (["--winding", "0", "--modulus", "half-cosine", "-G", "64"], 3, True),
+        (["--winding", "1", "--modulus", "vonmises", "-G", "16"], 3, False),
+        (["--winding", "0.5", "--modulus", "half-cosine"], 0, True),
+    ],
+    ids=["half-on-uniform", "half-on-vonmises", "kinked-integer", "saddle", "coarse-grid", "half-cosine"],
+)
+def test_phase_min_exits_on_admissibility_and_certificate(capsys, argv, expected, printed):
+    # each of the first four once printed a wrong-class answer or a saddle
+    # at exit 0.  An inadmissible pair prints nothing (exit 2); a phase that
+    # does not certify is printed where the modulus vanishes (exit 3), and
+    # raised where it does not (exit 3, nothing printed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pl.ModulusZeroWarning)
+        code, out, err = run(capsys, "phase-min", *argv)
+    assert code == expected
+    if expected == 2:
+        assert "not admissible" in err
+    if not printed:
+        assert out == ""
+        return
+    payload = json.loads(out)
+    assert payload["admissible"] is True
+    assert payload["certified"] is (expected == 0)
+    if expected == 0:
+        assert payload["deltaL"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_f_table_converged_column_is_0_or_1(tmp_path, capsys):
+    spath = tmp_path / "s.json"
+    spath.write_text(pl.state_to_json(pl.css_state(pl.CssParams(1.0, 0), pl.ModeWindow.symmetric(32))))
+    for flag, expected in (("1", 0), ("nan", 2), ("2", 2)):
+        tpath = tmp_path / "f.csv"
+        tpath.write_text(f"deltaPhiP,f,converged\n0.1,1.0,1\n1.8,4.3,{flag}\n")
+        code, _, err = run(capsys, "relations", "--state", str(spath), "--f-table", str(tpath))
+        assert code == expected, flag
+        assert expected == 0 or err.startswith("error: ")
 
 
 def test_f_scan_json_explains_each_point(capsys):

@@ -7,8 +7,10 @@ import pytest
 
 import packetlab as pl
 from conftest import (
+    antiperiodic_modulus,
     f_table_lbfgsb,
     f_table_via_moments,
+    first_integral,
     full_window_ground_state,
     linear_phase_floor,
     minimize_phase_lbfgsb,
@@ -37,6 +39,19 @@ def test_import_leaves_scipy_optimize_unloaded():
         "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_phase_min_leaves_scipy_unloaded():
+    # the phase minimizer is a closed form checked by numpy: phase-min runs
+    # without any scipy module
+    src = str(Path(pl.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from packetlab.cli import main; "
+        "code = main(['phase-min', '--winding', '1']); "
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "assert code == 0 and not loaded, (code, loaded)"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, stdout=subprocess.DEVNULL)
 
 
 def test_modulus_profile_normalization():
@@ -102,21 +117,6 @@ def test_minimize_phase_vonmises_matches_css():
     assert dl == pytest.approx(rep.delta_l, abs=1e-9)
 
 
-@pytest.mark.parametrize("winding", [2, 0.5, -0.5])
-def test_minimize_phase_from_perturbed_start(winding):
-    rng = np.random.default_rng(5)
-    r = pl.random_smooth_modulus(G, 17)
-    x0 = 1e-2 * rng.standard_normal(80)
-    prof, dl = pl.minimize_phase(r, winding, initial_coeffs=x0)
-    assert prof.slope == winding
-    # the optimizer found the zero start's value, whatever the winding class
-    _, dl_zero = pl.minimize_phase(r, winding)
-    assert abs(dl - dl_zero) <= 1e-9 * dl_zero
-    if winding == round(winding):
-        assert prof.fit_residual <= 1e-6
-        assert pl.mean_l_of(r, prof) == pytest.approx(winding, abs=1e-8)
-
-
 def test_minimize_phase_winding_is_topological():
     r = pl.random_smooth_modulus(G, 3)
     for w in (-2, -1, 0, 1, 2):
@@ -126,10 +126,15 @@ def test_minimize_phase_winding_is_topological():
 
 
 def test_minimize_phase_half_integer_floor():
-    r = pl.random_smooth_modulus(G, 11)
+    # half-integer windings are admissible on the antiperiodic modulus only
+    periodic, r = pl.random_smooth_modulus(G, 11), antiperiodic_modulus(G, 11)
     for w in (0.5, -0.5):
-        prof, dl = pl.minimize_phase(r, w)
+        assert pl.minimize_phase(periodic, w)[0].admissible is False
+        with pytest.warns(pl.ModulusZeroWarning):
+            prof, dl = pl.minimize_phase(r, w)
+        assert prof.admissible and prof.certified
         assert dl >= 0.5 - 1e-9
+        assert dl == pytest.approx(linear_phase_floor(r.values, w), rel=1e-13)
 
 
 def test_minimize_phase_meets_linear_phase_floor_on_criterion_6_moduli():
@@ -158,6 +163,59 @@ def test_minimize_phase_meets_linear_phase_floor_at_half_winding(ripple, floor, 
     assert dl == pytest.approx(floor, rel=1e-13)
 
 
+def test_admissibility_is_decided_at_the_seam():
+    phi = pl.grid_angles(G)
+    # one sign at both ends of [-pi, pi): integer windings only, however
+    # often r changes sign in between
+    for r in (pl.uniform_modulus(G), pl.modulus_profile(np.cos(phi))):
+        assert r.admits(2) and r.admits(0) and not r.admits(0.5) and not r.admits(-1.5)
+    # opposite signs: half-integer windings only
+    r = pl.modulus_profile(np.cos(0.5 * phi + 0.3))
+    assert r.admits(0.5) and r.admits(-1.5) and not r.admits(1) and not r.admits(0)
+    # a seam sample at the zero level admits both classes
+    for r in (pl.half_winding_modulus(G), antiperiodic_modulus(G, 3)):
+        assert r.admits(0.5) and r.admits(1)
+    assert pl.modulus_profile(np.roll(pl.half_winding_modulus(G).values, -1)).admits(0)
+
+
+def test_inadmissible_pair_is_returned_not_raised():
+    # the linear phase of a half-integer winding on a positive modulus: psi
+    # jumps at the seam, and the grid's Delta L of that jump grows with G
+    prof, dl = pl.minimize_phase(pl.vonmises_modulus(G, 2.0), 0.5)
+    assert prof.admissible is False and prof.certified is False
+    assert prof.fit_residual == 0.0 and dl >= 0.5
+
+
+def test_minimize_phase_certificate_sees_saddles():
+    # |cos(phi/2)| at winding 0 is stationary on the grid but a saddle: the
+    # gradient alone would certify it
+    with pytest.warns(pl.ModulusZeroWarning):
+        prof, _ = pl.minimize_phase(pl.half_winding_modulus(64), 0)
+    assert prof.admissible and prof.gradient_norm <= 1e-12
+    assert prof.least_curvature < 0.0 and prof.certified is False
+    # integer windings off the zero: the gradient is not small
+    with pytest.warns(pl.ModulusZeroWarning):
+        prof, _ = pl.minimize_phase(pl.half_winding_modulus(128), 1)
+    assert prof.least_curvature > 0.0 and prof.certified is False
+
+
+def test_minimize_phase_raises_when_a_positive_modulus_does_not_certify():
+    # von Mises at G = 16 is too coarse for the linear phase to be
+    # stationary on the grid
+    with pytest.raises(pl.ConvergenceError):
+        pl.minimize_phase(pl.vonmises_modulus(16, 2.0), 1)
+
+
+@pytest.mark.parametrize("grid", [8, 16, 64])
+def test_certificate_basis_never_aliases(grid):
+    # 40 harmonics on 64 points would alias: a rank-deficient Hessian with
+    # least eigenvalue ~ -1e-13 even where the linear phase is the minimum
+    with pytest.warns(pl.ModulusZeroWarning):
+        prof, dl = pl.minimize_phase(pl.half_winding_modulus(grid), 0.5)
+    assert prof.certified and prof.least_curvature > 1e-3
+    assert dl == pytest.approx(0.5, abs=1e-12)
+
+
 def test_minimize_phase_bad_winding():
     with pytest.raises(pl.IntegerWindingError):
         pl.minimize_phase(pl.uniform_modulus(G), 0.3)
@@ -172,7 +230,7 @@ def test_modulus_zero_warning():
 def test_first_integral_constant_at_minimum():
     r = pl.random_smooth_modulus(G, 23)
     prof, _ = pl.minimize_phase(r, 1)
-    fi = pl.first_integral(r, prof)
+    fi = first_integral(r, prof)
     assert np.max(np.abs(fi - np.mean(fi))) <= 1e-6
 
 
@@ -272,6 +330,25 @@ def test_f_table_errors():
         pl.f_table([PI_SQRT3])
 
 
+def test_f_table_rows_ascend():
+    # interpolate reads the points as sorted: unsorted rows once
+    # interpolated to 1.0 where the sorted table gives 2.747
+    with pytest.raises(ValueError, match="ascending"):
+        pl.FTable(np.array([1.8, 0.1]), np.array([4.3, 1.0]), np.array([True, True]))
+    table = pl.FTable(np.array([0.1, 1.8]), np.array([1.0, 4.3]), np.array([True, True]))
+    assert table.interpolate(1.0) == pytest.approx(1.0 + 3.3 * 0.9 / 1.7, rel=1e-15)
+    # a repeated point stays allowed: f_table repeats repeated targets
+    pl.FTable(np.array([0.5, 0.5]), np.array([2.0, 2.0]), np.array([True, True]))
+
+
+@pytest.mark.parametrize("flag", ["nan", "2", "-1", "0.5"])
+def test_read_f_table_converged_is_0_or_1(flag):
+    rows = ["deltaPhiP,f,converged", "0.5,1.2,1", f"1.0,1.7,{flag}"]
+    with pytest.raises(ValueError, match="0 or 1"):
+        pl.read_f_table(rows)
+    assert pl.read_f_table(rows[:2] + ["1.0,1.7,0"]).converged.tolist() == [True, False]
+
+
 def test_f_table_csv_roundtrip():
     table = pl.f_table([0.5, 1.0])
     rows = table.to_csv_rows()
@@ -294,22 +371,34 @@ def criterion_6_runs():
     return runs
 
 
-def test_minimize_phase_reports_optimizer_result(criterion_6_runs):
-    prof, _ = pl.minimize_phase(pl.random_smooth_modulus(G, 29), 1)
-    assert isinstance(prof.optimizer_success, bool)
-    assert isinstance(prof.optimizer_message, str) and prof.optimizer_message
+def test_minimize_phase_reports_certificate(criterion_6_runs):
     built = pl.linear_phase(G, 1)
-    assert built.optimizer_success is None and built.optimizer_message == ""
+    assert built.admissible is None and built.gradient_norm is None
+    assert built.least_curvature is None and built.certified is None
     assert len(criterion_6_runs) == 140
-    assert all(prof.optimizer_success for prof, _ in criterion_6_runs.values())
+    for (seed, w), (prof, _) in criterion_6_runs.items():
+        if w == round(w):
+            # measured: |grad|^2 / (2 lam) <= 1e-24 on these runs
+            assert prof.admissible and prof.certified, (seed, w)
+            assert prof.gradient_norm**2 / (2.0 * prof.least_curvature) <= 1e-20, (seed, w)
+        else:
+            # a half-integer winding on a positive (periodic) modulus
+            assert prof.admissible is False and prof.certified is False, (seed, w)
 
 
 def test_minimize_phase_matches_lbfgsb_oracle(criterion_6_runs):
     for (seed, w), (_, dl) in criterion_6_runs.items():
+        if w != round(w):
+            continue
         _, dl_oracle = minimize_phase_lbfgsb(pl.random_smooth_modulus(G, seed), w)
-        if w == round(w):
-            assert abs(dl - dl_oracle) <= 1e-12 * dl_oracle, (seed, w)
-        else:
+        assert abs(dl - dl_oracle) <= 1e-12 * dl_oracle, (seed, w)
+    # half-integer windings on the antiperiodic moduli, where they are admissible
+    for seed in CRITERION_6_SEEDS:
+        r = antiperiodic_modulus(G, seed)
+        for w in (0.5, -0.5):
+            with pytest.warns(pl.ModulusZeroWarning):
+                _, dl = pl.minimize_phase(r, w)
+                _, dl_oracle = minimize_phase_lbfgsb(r, w)
             # never above the oracle: a higher value would soften the
             # half-integer floor of criterion 6
             assert dl <= dl_oracle * (1.0 + 1e-12), (seed, w)
