@@ -29,21 +29,12 @@ from .states import (
     from_grid,
     grid_angles,
     normalize,
-    projection_tail_mass,
     random_state,
     state_from_json,
     state_to_json,
     to_grid,
 )
-from .operators import (
-    OperatorId,
-    OperatorMatrix,
-    apply,
-    build,
-    commutator,
-    expectation,
-    write_matrix_csv,
-)
+from .operators import OperatorId, OperatorMatrix, build
 from .bessel import bessel_i_ratios
 from .moments import (
     MomentReport,

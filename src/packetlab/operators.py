@@ -29,22 +29,19 @@ Matrix Computations, 4th ed., section 4.3): L and N as their real diagonal,
 the four cos/sin stencils as their sub-, main and super-diagonals, and only
 phi_p and phi_p^2, which are full, as dense matrices.  So a pencil of a
 diagonal and a tridiagonal operator costs O(d) memory at any truncation, and
-``entries`` builds the dense matrix only for the callers that need it
-(``apply``, ``expectation``, ``commutator``); ``write_matrix_csv`` reads
-the bands.
+``entries`` builds the dense matrix on request (``f_table`` folds phi_p^2's
+even sector from it).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO
 
 import numpy as np
 
-from .errors import IncompatibleFamilyError, WindowMismatchError
-from .states import AngularState, ModeWindow, _freeze
+from .errors import IncompatibleFamilyError
+from .states import ModeWindow, _freeze
 
 
 class OperatorId(str, Enum):
@@ -162,46 +159,3 @@ def build(op_id: OperatorId, window: ModeWindow) -> OperatorMatrix:
         raise IncompatibleFamilyError(f"unknown operator {op_id}")
     return OperatorMatrix(op_id, window, data)
 
-
-def commutator(X: OperatorMatrix, Y: OperatorMatrix) -> np.ndarray:
-    """XY - YX.  Exact only away from the truncation boundary rows."""
-    if X.window != Y.window:
-        raise WindowMismatchError("operators live on different windows")
-    x, y = X.entries, Y.entries
-    return x @ y - y @ x
-
-
-def apply(X: OperatorMatrix, s: AngularState) -> np.ndarray:
-    """Matrix-vector product X|s>; the result is not renormalized."""
-    if X.window != s.window:
-        raise WindowMismatchError("operator and state live on different windows")
-    return X.entries @ s.coeffs
-
-
-def expectation(X: OperatorMatrix, s: AngularState) -> float:
-    """<s|X|s> for Hermitian X (the imaginary part is discarded)."""
-    return float(np.real(np.vdot(s.coeffs, apply(X, s))))
-
-
-def write_matrix_csv(op: OperatorMatrix, fh: IO[str]) -> None:
-    """Dump nonzero entries as ``i,j,re,im`` rows after a JSON header line.
-
-    Indices are physical mode numbers, not array offsets.
-    """
-    header = {"id": op.id.value, "kind": op.window.kind.value, "M": op.window.M}
-    fh.write(json.dumps(header) + "\n")
-    fh.write("i,j,re,im\n")
-    if op.data[0].ndim == 2:  # phi_p, phi_p^2
-        i, j = np.nonzero(op.data[0])
-        z = op.data[0][i, j]
-    else:  # from the bands, never densified: row i holds columns i - 1, i, i + 1
-        bands = np.zeros((op.window.dimension, 3), dtype=complex)
-        if op.id in DIAGONAL_IDS:
-            bands[:, 1] = op.data[0]
-        else:
-            bands[1:, 0], bands[:, 1], bands[:-1, 2] = op.data
-        i, k = np.nonzero(bands)
-        j, z = i + k - 1, bands[i, k]
-    modes = op.window.modes
-    for m, n, x in zip(modes[i].tolist(), modes[j].tolist(), z.tolist()):
-        fh.write(f"{m},{n},{x.real:.17g},{x.imag:.17g}\n")

@@ -248,13 +248,24 @@ def _norms(x: np.ndarray) -> np.ndarray:
     """The 2-norm of each row of x, as np.linalg.norm computes it for one
     vector (a dot product of the real part, plus one of the imaginary part
     when x is complex), so that a block's result does not depend on the
-    batch it is in."""
+    batch it is in.  A row whose norm comes out below 2^-450, where its
+    squares may have underflowed (to a false 0 below about 1e-154), is
+    measured again divided by its largest real or imaginary part (a real
+    division: a complex one overflows for a subnormal divisor); every other
+    row keeps its bits."""
     re = x.real[:, None, :]
     sq = re @ re.transpose(0, 2, 1)
     if np.iscomplexobj(x):
         im = x.imag[:, None, :]
         sq += im @ im.transpose(0, 2, 1)
-    return np.sqrt(sq[:, 0, 0])
+    norm = np.sqrt(sq[:, 0, 0])
+    tiny = np.flatnonzero(norm < 2.0**-450)
+    if tiny.size:
+        parts = x[tiny].view(np.float64)  # (re, im) pairs of a complex row
+        peak = np.abs(parts).max(axis=1)
+        hit = peak > 0.0
+        norm[tiny[hit]] = peak[hit] * np.linalg.norm(parts[hit] / peak[hit, None], axis=1)
+    return norm
 
 
 def _unit_rows(y: np.ndarray, mag: np.ndarray) -> np.ndarray:
@@ -402,9 +413,9 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
     to a largest entry in [1/2, 1) (by at most 2^1000, so that the padding
     rows stay finite), and sigma and local are scaled back.  The squares
     that :func:`_norms` sums would otherwise overflow (for unit v they are
-    at most (4 max|entry|)^2) or underflow, down to a sigma of 0 that
-    certifies; the scaling is exact, so the pair is 2^e times the scaled
-    system's.
+    at most (4 max|entry|)^2) or underflow (which :func:`_norms` then
+    repairs row by row); the scaling is exact, so the pair is 2^e times the
+    scaled system's.
     """
     d = v.size
     k = (S[1].size - 2) // d
@@ -555,8 +566,11 @@ def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, floa
 
     Returns the unit vector minimizing ||(A - alpha)v - i s (B - beta)v|| and
     that residual; a residual at working precision certifies that i s is an
-    eigenvalue and the vector is its eigenvector.
+    eigenvalue and the vector is its eigenvector.  A non-finite s raises a
+    ValueError.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"the eigenvalue i s needs a finite s, got {s}")
     a, b = problem.bands()
     (pair,) = _axis_pairs(a, b, [s], _start_vector(a.size))
     return AngularState(problem.window, pair.vector), pair.sigma

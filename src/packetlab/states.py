@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UndersampledError, WindowMismatchError, ZeroNormError
+from .errors import UndersampledError, ZeroNormError
 
 TWO_PI = 2.0 * np.pi
 
@@ -213,8 +213,7 @@ def to_grid(state: AngularState, G: int | None = None) -> GridFunction:
 def from_grid(grid: GridFunction, window: ModeWindow) -> AngularState:
     """Project grid samples onto the window and normalize.
 
-    Content outside the window is silently projected away; use
-    :func:`projection_tail_mass` to quantify what was dropped.
+    Content outside the window is silently projected away.
     """
     G = grid.size
     dim = window.dimension
@@ -224,17 +223,6 @@ def from_grid(grid: GridFunction, window: ModeWindow) -> AngularState:
     F = np.fft.fft(grid.samples)
     c = (-1.0) ** m * np.sqrt(TWO_PI) * F[np.mod(m, G)] / G
     return normalize(c, window)
-
-
-def projection_tail_mass(grid: GridFunction, window: ModeWindow) -> float:
-    """Fraction of the grid function's power outside the mode window."""
-    G = grid.size
-    F = np.fft.fft(grid.samples)
-    total = float(np.sum(np.abs(F) ** 2))
-    if total <= 0.0:
-        raise ZeroNormError("grid function has zero power")
-    kept = float(np.sum(np.abs(F[np.mod(window.modes, G)]) ** 2))
-    return max(0.0, 1.0 - kept / total)
 
 
 def state_to_json(state: AngularState) -> str:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, IntegerWindingError, ModulusZeroWarning
+from .errors import ConvergenceError, IntegerWindingError, ModulusZeroWarning, UndersampledError
 from .moments import PHI_P_MAX
 from .operators import OperatorId, build
 from .states import TAIL_TOL, TWO_PI, ModeWindow, _freeze, grid_angles, tail_mass
@@ -257,18 +257,22 @@ def minimize_phase(r: ModulusProfile, winding: float) -> tuple[PhaseProfile, flo
     none aliases on the grid); ``certified`` reads them.  An inadmissible
     pair is returned, not raised: its psi jumps at the seam.
 
+    Raises UndersampledError when |winding| >= G / 2: the grid aliases
+    e^{i winding phi} to a lower winding, whose phase it would certify.
     Raises ConvergenceError when an admissible pair on a modulus that
     vanishes nowhere does not certify.  Warns ModulusZeroWarning when the
     modulus vanishes somewhere: theta' is then free at the zeros, and a
     phase that does not certify is returned, not raised.
     """
     winding = _check_winding(winding)
+    G = r.grid
+    if abs(winding) >= G / 2:
+        raise UndersampledError(f"winding {winding} aliases on G = {G} points: |winding| must be below G/2")
     if r.vanishes:
         warnings.warn(
             "modulus vanishes on the grid; the phase is returned whether or not it certifies",
             ModulusZeroWarning,
         )
-    G = r.grid
     phi = grid_angles(G)
     ns = np.arange(1, min(PHASE_HARMONICS, (G - 1) // 2) + 1)
     basis = np.hstack([np.cos(np.outer(phi, ns)), np.sin(np.outer(phi, ns))])

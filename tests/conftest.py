@@ -46,6 +46,7 @@ from packetlab.pencil import (
     _axis_pairs,
     _family_problem,
     _iterate,
+    _norms,
     _stack,
     _start_vector,
 )
@@ -254,7 +255,9 @@ def serial_inverse_iteration(T, v: np.ndarray, local=None) -> SingularPair:
     overflows anyway, shifts the diagonal by roundoff and refactors (an LU
     nudge, which uses up a step).  It stops when sigma = ||T v|| changes by
     at most 1e-6 relative after the fourth step or, given ``local`` (a
-    function of v), when sigma <= _REFINE_ROUNDOFF * local(v).
+    function of v), when sigma <= _REFINE_ROUNDOFF * local(v).  sigma is
+    measured as the kernel measures it (:func:`packetlab.pencil._norms`,
+    np.linalg.norm but for a norm below 2^-450, which is not let underflow).
     """
 
     def unit(y):
@@ -286,13 +289,13 @@ def serial_inverse_iteration(T, v: np.ndarray, local=None) -> SingularPair:
             nudges += 1
             continue
         v = y
-        new = float(np.linalg.norm(matvec(v)))
+        new = float(_norms(matvec(v)[None])[0])
         if (it > 2 and abs(new - sigma) <= 1e-6 * max(new, 1e-300)) or (
             local is not None and new <= _REFINE_ROUNDOFF * local(v)
         ):
             return SingularPair(new, v, it + 1, nudges, True)
         sigma = new
-    return SingularPair(float(np.linalg.norm(matvec(v))), v, _MAX_STEPS, nudges, False)
+    return SingularPair(float(_norms(matvec(v)[None])[0]), v, _MAX_STEPS, nudges, False)
 
 
 def serial_pencil_pair(

@@ -227,20 +227,27 @@ def test_phase_min_json_carries_solver_flags(capsys):
         (["--winding", "0", "--modulus", "half-cosine", "-G", "64"], 3, True),
         (["--winding", "1", "--modulus", "vonmises", "-G", "16"], 3, False),
         (["--winding", "0.5", "--modulus", "half-cosine"], 0, True),
+        (["--winding", "5", "--modulus", "uniform", "-G", "8"], 2, False),
+        (["--winding", "4", "--modulus", "uniform", "-G", "8"], 2, False),
+        (["--winding", "300", "--modulus", "vonmises", "-G", "512"], 2, False),
+        (["--winding", "1000", "--modulus", "vonmises", "-G", "512"], 2, False),
     ],
-    ids=["half-on-uniform", "half-on-vonmises", "kinked-integer", "saddle", "coarse-grid", "half-cosine"],
+    ids=["half-on-uniform", "half-on-vonmises", "kinked-integer", "saddle", "coarse-grid", "half-cosine",
+         "aliased-5-on-8", "aliased-4-on-8", "aliased-300-on-512", "aliased-1000-on-512"],
 )
 def test_phase_min_exits_on_admissibility_and_certificate(capsys, argv, expected, printed):
-    # each of the first four once printed a wrong-class answer or a saddle
-    # at exit 0.  An inadmissible pair prints nothing (exit 2); a phase that
-    # does not certify is printed where the modulus vanishes (exit 3), and
-    # raised where it does not (exit 3, nothing printed)
+    # each of the first four and the aliased ones once printed a wrong-class
+    # answer, a saddle or an aliased <L> at exit 0.  An inadmissible pair and
+    # a winding of at least G/2 print nothing (exit 2); a phase that does not
+    # certify is printed where the modulus vanishes (exit 3), and raised where
+    # it does not (exit 3, nothing printed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pl.ModulusZeroWarning)
         code, out, err = run(capsys, "phase-min", *argv)
     assert code == expected
     if expected == 2:
-        assert "not admissible" in err
+        G = int(argv[argv.index("-G") + 1]) if "-G" in argv else 512
+        assert ("aliases" if abs(float(argv[1])) >= G / 2 else "not admissible") in err
     if not printed:
         assert out == ""
         return

@@ -92,7 +92,7 @@ def test_eigen_residual_of_squeezed_state_equation():
     s = pl.css_state(pl.CssParams(S, ell), W64)
     L = pl.build(pl.OperatorId.ANGULAR_MOMENTUM, W64)
     B = pl.build(pl.OperatorId.SIN_PHI, W64)
-    resid = (pl.apply(L, s) - ell * s.coeffs) - 1j * S * pl.apply(B, s)
+    resid = (L.entries @ s.coeffs - ell * s.coeffs) - 1j * S * (B.entries @ s.coeffs)
     assert np.linalg.norm(resid[1:-1]) < 1e-10
 
 

@@ -1,6 +1,4 @@
 import hashlib
-import io
-import json
 
 import numpy as np
 import pytest
@@ -14,6 +12,11 @@ LOW = pl.ModeWindow.bounded_below
 
 def hermiticity_defect(op):
     return np.max(np.abs(op.entries - op.entries.conj().T))
+
+
+def commutator(X, Y):
+    x, y = X.entries, Y.entries
+    return x @ y - y @ x
 
 
 @pytest.mark.parametrize(
@@ -89,10 +92,10 @@ def test_commutators_circle():
     C = pl.build(pl.OperatorId.COS_PHI, w)
     S = pl.build(pl.OperatorId.SIN_PHI, w)
     # [L, cos] = i sin and [L, sin] = -i cos hold entrywise (L is diagonal)
-    assert np.max(np.abs(pl.commutator(L, C) - 1j * S.entries)) < 1e-13
-    assert np.max(np.abs(pl.commutator(L, S) + 1j * C.entries)) < 1e-13
+    assert np.max(np.abs(commutator(L, C) - 1j * S.entries)) < 1e-13
+    assert np.max(np.abs(commutator(L, S) + 1j * C.entries)) < 1e-13
     # [cos, sin] = 0 away from the truncation corners
-    CS = pl.commutator(C, S)
+    CS = commutator(C, S)
     assert np.max(np.abs(CS[1:-1, 1:-1])) < 1e-15
     assert abs(CS[0, 0]) > 0.1  # the corner defect of the truncation
 
@@ -102,11 +105,11 @@ def test_commutators_phase_family():
     N = pl.build(pl.OperatorId.NUMBER, w)
     C = pl.build(pl.OperatorId.PHASE_COS, w)
     S = pl.build(pl.OperatorId.PHASE_SIN, w)
-    assert np.max(np.abs(pl.commutator(N, C) - 1j * S.entries)) < 1e-13
-    assert np.max(np.abs(pl.commutator(N, S) + 1j * C.entries)) < 1e-13
+    assert np.max(np.abs(commutator(N, C) - 1j * S.entries)) < 1e-13
+    assert np.max(np.abs(commutator(N, S) + 1j * C.entries)) < 1e-13
     # the phase coordinates genuinely do not commute: the content sits at the
     # physical m = 0 corner (the other corner is the truncation artifact)
-    CS = pl.commutator(C, S)
+    CS = commutator(C, S)
     assert abs(CS[0, 0] + 0.5j) < 1e-14
     assert np.max(np.abs(CS[1:-1, 1:-1])) < 1e-15
 
@@ -136,12 +139,12 @@ def test_apply():
     c = np.zeros(9)
     c[7] = 1.0  # m = 3
     s = pl.normalize(c, w)
-    assert np.allclose(pl.apply(L, s), 3.0 * s.coeffs)
+    assert np.allclose(L.entries @ s.coeffs, 3.0 * s.coeffs)
 
     C = pl.build(pl.OperatorId.COS_PHI, w)
     c = np.zeros(9)
     c[4] = 1.0  # m = 0
-    out = pl.apply(C, pl.normalize(c, w))
+    out = C.entries @ pl.normalize(c, w).coeffs
     expect = np.zeros(9)
     expect[3] = expect[5] = 0.5
     assert np.allclose(out, expect)
@@ -150,48 +153,9 @@ def test_apply():
     # follow from the quadrature integrals (<-1|phi|0> = i, <1|phi|0> = -i)
     w1 = SYM(1)
     P = pl.build(pl.OperatorId.PHI_P, w1)
-    out = pl.apply(P, pl.normalize(np.array([0, 1.0, 0]), w1))
+    out = P.entries @ pl.normalize(np.array([0, 1.0, 0]), w1).coeffs
     assert out[0] == pytest.approx(1j)
     assert out[2] == pytest.approx(-1j)
-
-
-def test_window_mismatch():
-    a = pl.build(pl.OperatorId.COS_PHI, SYM(3))
-    b = pl.build(pl.OperatorId.SIN_PHI, SYM(4))
-    with pytest.raises(pl.WindowMismatchError):
-        pl.commutator(a, b)
-    with pytest.raises(pl.WindowMismatchError):
-        pl.apply(a, pl.random_state(SYM(4), 0))
-
-
-def test_matrix_csv_dump():
-    op = pl.build(pl.OperatorId.COS_PHI, SYM(1))
-    buf = io.StringIO()
-    pl.write_matrix_csv(op, buf)
-    lines = buf.getvalue().strip().split("\n")
-    header = json.loads(lines[0])
-    assert header == {"id": "CosPhi", "kind": "symmetric", "M": 1}
-    assert lines[1] == "i,j,re,im"
-    rows = {tuple(ln.split(",")[:2]) for ln in lines[2:]}
-    assert ("-1", "0") in rows and ("0", "1") in rows
-    assert len(lines) == 2 + 4  # four nonzero entries at M = 1
-    # the sine stencil: +i/2 above the diagonal, -i/2 below, and a plain
-    # zero (never "-0") in the real column
-    buf = io.StringIO()
-    pl.write_matrix_csv(pl.build(pl.OperatorId.SIN_PHI, SYM(1)), buf)
-    rows = [ln.split(",") for ln in buf.getvalue().strip().split("\n")[2:]]
-    assert {(i, j): (re, im) for i, j, re, im in rows} == {
-        ("-1", "0"): ("0", "0.5"),
-        ("0", "1"): ("0", "0.5"),
-        ("0", "-1"): ("0", "-0.5"),
-        ("1", "0"): ("0", "-0.5"),
-    }
-    assert "-0" not in {field for row in rows for field in row}
-    # a banded kind is written from its bands, so M = 4096 (8193 modes, where
-    # the dense matrix would take 1.07 GB) writes its 2d - 2 nonzero entries
-    buf = io.StringIO()
-    pl.write_matrix_csv(pl.build(pl.OperatorId.SIN_PHI, SYM(4096)), buf)
-    assert len(buf.getvalue().splitlines()) == 2 + 16384
 
 
 BANDED = [
@@ -223,28 +187,23 @@ def test_band_storage_matches_dense_stencil(op_id, M):
         pl.OperatorMatrix(op_id, window, (ref,))
 
 
-# sha256 of write_matrix_csv at M = 16 as it was written while every
-# operator was stored dense
-CSV_SHA256 = {
-    "AngularMomentum": "ef55942a53185f0b64ec871024610832836c31b554b762cc1e0646ef02e5bc66",
-    "CosPhi": "c4d1122d983fad7c73b6f29e9af68d2dcb8d9f1570954cfc523149ace8f3a97a",
-    "SinPhi": "980a1b4bf0a383452ad1915ef750d83283816dd29ecbf903bfda3af510705626",
-    "PhiP": "011dcb4668f1fcaf7acd27501ccebfcd4513b52507bab3b0fab2eab62b61ef97",
-    "PhiPSquared": "8f0f034b3636dc34a9c925af6c548e1698357fee206a1f0a339b6d6841983d14",
-    "Number": "7049f8a974e5851e7798870259a89c0514c4d62cafd16ca2b6be07db6c4a4f1f",
-    "PhaseCos": "4837aaafece14ab53ef7e90145e998287c45eebe32e95374aa6e62dac1aeb29c",
-    "PhaseSin": "efd9e105fd1a58687ee72cc61e1504069765ca2286bd37c20b9b206a0b651171",
+# sha256 of build(op, M = 16).entries.tobytes() (complex128, little-endian):
+# the one byte-level pin of the dense phi_p and phi_p^2 builds, and of the
+# dense matrix every banded kind expands to
+ENTRIES_SHA256 = {
+    "AngularMomentum": "4400d54a46743765651729575e4a2e275834ad1e0fab6e0271b726a5351bf7cf",
+    "CosPhi": "8ed864badad34738468c10bb9df313977759555c932037b1c834036b8fb2d6bf",
+    "SinPhi": "acfe491a5f190c45bcf99f2483ff794d38817ba93044d92f7c990f52f796ccd5",
+    "PhiP": "872aa1496ddf088dc594103f79466a5ee95d50d862053ae309d91f98556911a4",
+    "PhiPSquared": "0bca320f59a080af6449c451443fc901ab9e2d7cbdaa0a1966a40af0ce5f30d0",
+    "Number": "1320b47faa1a3c377d9ac70d35019ef7dbb32d50751696fac78791e57add4fb7",
+    "PhaseCos": "f44f892ece92a7f22aa0fc3cf3b9c97d18ab742db8260ba1e5d8dd3446ee1412",
+    "PhaseSin": "bfedad27c2342092970aff47c43581f4897893b6e321b9e807a25de8529dbaf2",
 }
 
 
 @pytest.mark.parametrize("op_id", list(pl.OperatorId))
-def test_matrix_csv_bytes_unchanged(op_id):
-    buf = io.StringIO()
-    pl.write_matrix_csv(pl.build(op_id, window_of(op_id, 16)), buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CSV_SHA256[op_id.value]
-    # and the banded kinds write the nonzero entries of the dense stencil
-    if op_id in BANDED:
-        window = window_of(op_id, 16)
-        m, e = window.modes, dense_stencil(op_id, window)
-        rows = [f"{m[i]},{m[j]},{e[i, j].real:.17g},{e[i, j].imag:.17g}" for i, j in zip(*np.nonzero(e))]
-        assert buf.getvalue().splitlines()[2:] == rows
+def test_build_bytes_unchanged(op_id):
+    entries = pl.build(op_id, window_of(op_id, 16)).entries
+    assert entries.dtype == np.dtype("<c16")
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == ENTRIES_SHA256[op_id.value]

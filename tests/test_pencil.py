@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,19 @@ def test_eigenvector_at_certifies_css():
     assert resid > 1e-6
 
 
+def test_eigenvector_at_far_and_non_finite_s():
+    # past s = 2^500 the system is iterated scaled down, where ||T v|| once
+    # underflowed to a false residual of 0; it tends to its s -> inf limit
+    problem = pl.circle_problem(1.0, M=8)
+    _, near = pl.eigenvector_at(problem, 1e100)
+    for s in (1e200, 1e300, -1e300):
+        _, resid = pl.eigenvector_at(problem, s)
+        assert resid == pytest.approx(near, rel=1e-12)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite s"):
+            pl.eigenvector_at(problem, s)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_banded_kernel_matches_dense_svd(seed):
     # a random complex tridiagonal shifted next to one of its eigenvalues,
@@ -140,11 +154,16 @@ def test_banded_kernel_rejects_missized_bands(sub, main, sup):
 def test_banded_kernel_singular_and_tiny_pivots():
     zero = np.zeros(2, dtype=complex)
     e2 = np.array([0, 1, 0])
-    # a pivot of 1e-200 would overflow (T^H T)^{-1} v without the rescale
-    pair = pl.smallest_singular_pair((zero, np.array([1, 1e-200, 1], dtype=complex), zero))
-    assert pair.converged and pair.nudges == 0
-    assert pair.sigma == pytest.approx(1e-200, rel=1e-12)
-    assert np.allclose(np.abs(pair.vector), e2)
+    # a pivot of 1e-200 would overflow (T^H T)^{-1} v without the rescale,
+    # and the squares of ||T v|| underflow to a false sigma of 0 unless the
+    # norm rescales them, in real arithmetic and in complex
+    for tiny in (1e-200, 1e-300):
+        for dtype in (float, complex):
+            z = np.zeros(2, dtype=dtype)
+            pair = pl.smallest_singular_pair((z, np.array([1, tiny, 1], dtype=dtype), z))
+            assert pair.converged and pair.nudges == 0
+            assert pair.sigma == pytest.approx(tiny, rel=1e-12, abs=0)
+            assert np.allclose(np.abs(pair.vector), e2)
     # an exactly singular factor is nudged, and the residual is still ||T v||
     pair = pl.smallest_singular_pair((zero, np.array([1, 0, 1], dtype=complex), zero))
     assert pair.converged and pair.nudges == 1

@@ -156,16 +156,6 @@ def test_roundtrip_and_parseval_property(M, seed):
     assert np.max(np.abs(g2.samples - g.samples)) < 1e-12
 
 
-def test_projection_tail_mass():
-    w = pl.ModeWindow.symmetric(2)
-    phis = pl.grid_angles(64)
-    inside = np.exp(1j * phis)
-    outside = np.exp(5j * phis)
-    mix = np.sqrt(0.75) * inside + np.sqrt(0.25) * outside
-    tail = pl.projection_tail_mass(pl.GridFunction(mix), w)
-    assert abs(tail - 0.25) < 1e-12
-
-
 def test_state_json_roundtrip():
     s = pl.random_state(pl.ModeWindow.bounded_below(6), 9)
     text = pl.state_to_json(s)

@@ -206,6 +206,20 @@ def test_minimize_phase_raises_when_a_positive_modulus_does_not_certify():
         pl.minimize_phase(pl.vonmises_modulus(16, 2.0), 1)
 
 
+def test_minimize_phase_rejects_windings_the_grid_aliases():
+    # e^{i w phi} on G points is e^{i (w - G) phi}: these once certified
+    # <L> = -3, 0, -212 and -24
+    for r, w in ((pl.uniform_modulus(8), 5), (pl.uniform_modulus(8), 4), (pl.uniform_modulus(8), -4),
+                 (pl.vonmises_modulus(512, 2.0), 300), (pl.vonmises_modulus(512, 2.0), 1000)):
+        with pytest.raises(pl.UndersampledError, match="aliases"):
+            pl.minimize_phase(r, w)
+    # just below G/2 the winding stands
+    r = pl.uniform_modulus(8)
+    prof, dl = pl.minimize_phase(r, 3)
+    assert prof.certified and dl == pytest.approx(0.0, abs=1e-9)
+    assert pl.mean_l_of(r, prof) == pytest.approx(3.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("grid", [8, 16, 64])
 def test_certificate_basis_never_aliases(grid):
     # 40 harmonics on 64 points would alias: a rank-deficient Hessian with
