@@ -43,6 +43,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# A scan or f-scan grid of more points is an invalid configuration, caught
+# before the grid is allocated: 100 times the largest documented scan.
+MAX_GRID_POINTS = 100_000
+
 
 # MomentReport field -> artifact name, in artifact order
 _MOMENT_NAMES = {
@@ -216,6 +220,8 @@ def _cmd_scan(args) -> tuple[list[str], object, int]:
     if not math.isfinite(steps):
         raise ValueError(f"--alpha-step {args.alpha_step} is too small for a finite grid")
     n = int(math.floor(steps + 0.5)) + 1
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"the scan grid has {n} points, more than {MAX_GRID_POINTS}")
     alphas = args.alpha_min + args.alpha_step * np.arange(n)
     threads = os.environ.get("PACKETLAB_THREADS", "1")
     try:
@@ -279,6 +285,8 @@ def _cmd_f_scan(args) -> tuple[list[str], object, int]:
     else:
         if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
             raise ValueError("--t-min and --t-max must be finite")
+        if args.t_count > MAX_GRID_POINTS:
+            raise ValueError(f"--t-count {args.t_count} is more than {MAX_GRID_POINTS} points")
         targets = np.linspace(args.t_min, args.t_max, args.t_count)
     table = variational.f_table(targets)
     payload = [

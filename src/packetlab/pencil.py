@@ -54,6 +54,18 @@ stencils):
   is at roundoff, so its sign is too.  A bracket that does not certify is a
   SingularPencilError, never a silent drop.  A complex pencil has no sign,
   and there the sweep runs alone.
+* The absence bound.  A sweep shift at which no vector can certify is not
+  iterated.  ?gttrs on the comparison factors of T(iS)'s LU bounds
+  ||T^{-1}||_1 and ||T^{-1}||_inf (Higham, Accuracy and Stability of
+  Numerical Algorithms, 2nd ed., ch. 8), which gives lb <= sigma_min, real
+  for a complex T too.  Since local <= sigma + 2S ||B - beta||, nothing
+  certifies once sigma_min > 2 SWEEP_RTOL S ||B - beta|| / (1 - SWEEP_RTOL),
+  and a shift whose lb beats that by a stated roundoff margin is excluded.
+  The first shift is bounded on its own LU of one block, and only when it
+  is excluded is the stack factored to bound the others, so the integer
+  points of the circle, where nothing is excluded, pay for one small LU.
+  The shifts at a sign change of det T still iterate, so the sweep returns
+  the same bits as when every shift iterates.
 
 When alpha sits in the point spectrum of A, the truncated pencil has a
 whole segment of nearly exact imaginary eigenvalues (the squeezing can be
@@ -115,6 +127,12 @@ SWEEP_POINTS = 80
 _REFINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 _MAX_STEPS = 30
 _START_SEED = 12345
+
+# The sweep skips a shift whose lower bound on sigma_min beats the least
+# sigma that can certify by this factor, plus this many units of ||T|| for
+# the LU's backward error (:func:`_absence_limits`).
+_ABSENCE_MARGIN = 100.0
+_FACTOR_ROUNDOFF = 256.0 * np.finfo(float).eps
 
 Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (sub, main, super) diagonals
 
@@ -375,6 +393,21 @@ def _solve(lu: list[np.ndarray], y: np.ndarray, mag: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _signs(lu: list[np.ndarray], k: int, d: int) -> np.ndarray:
+    """sign(det T) of each of the first k blocks, of order d, of the LU
+    ``lu`` (:func:`_factor`): prod sign(U_ii) * (-1)^(row interchanges), and
+    0 for a block with a zero on its U diagonal.  A complex T has no sign,
+    so every block of a complex LU gets 0."""
+    if np.iscomplexobj(lu[1]):
+        return np.zeros(k)
+    dd, piv = _blocks(lu[1], d)[:k], _blocks(lu[4], d)[:k]
+    # ?gttrf's ipiv(i) is i or i + 1, so a block's row interchanges are
+    # the sum of ipiv(i) - i over its rows
+    swaps = piv.sum(axis=1) - (d * d * np.arange(k) + d * (d + 1) // 2)
+    flips = np.count_nonzero(dd < 0, axis=1) + swaps
+    return np.where(np.all(dd != 0, axis=1), 1.0 - 2.0 * (flips % 2), 0.0)
+
+
 def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) -> list[SingularPair]:
     """Inverse iteration v <- (T^H T)^{-1} v from unit v on every block of
     the system S (:func:`_stack`), in its arithmetic: dgttrf/dgttrs and real
@@ -406,7 +439,7 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
     block alone.
 
     A real block's pair also carries the sign of its determinant, read off
-    its first LU: det T = prod U_ii * (-1)^(row interchanges).
+    its first LU (:func:`_signs`).
 
     When the largest entry of the system and ``a`` lies outside
     [2^-500, 2^500], the system is iterated scaled by a power of two 2^-e
@@ -426,15 +459,9 @@ def _iterate(S: list[np.ndarray], v: np.ndarray, a: np.ndarray | None = None) ->
         S = [x * 2.0**-e for x in S]
         a = None if a is None else a * 2.0**-e
     lu = _factor(S)
-    sign = np.zeros(k)
+    sign = _signs(lu, k, d)
     if not np.iscomplexobj(S[1]):
         v = v.real / np.linalg.norm(v.real)
-        dd, piv = _blocks(lu[1], d)[:k], _blocks(lu[4], d)[:k]
-        # ?gttrf's ipiv(i) is i or i + 1, so a block's row interchanges are
-        # the sum of ipiv(i) - i over its rows
-        swaps = piv.sum(axis=1) - (d * d * np.arange(k) + d * (d + 1) // 2)
-        flips = np.count_nonzero(dd < 0, axis=1) + swaps
-        sign = np.where(np.all(dd != 0, axis=1), 1.0 - 2.0 * (flips % 2), 0.0)
     F = S  # the system factored: S, with its diagonal nudged where a solve failed
     rows = np.arange(k)  # the shift of each block of S: those still iterating
     flat = np.zeros_like(S[1])  # V as a right-hand side of the system
@@ -538,17 +565,16 @@ def smallest_singular_pair(T: Bands) -> SingularPair:
     return _iterate(_stack(sub, main, sup), _start_vector(n))[0]
 
 
-def _axis_pairs(a: np.ndarray, b: Bands, s, v: np.ndarray) -> list[SingularPair]:
-    """Smallest singular pair of T(iS) = (A - alpha) - iS (B - beta) for
-    every S in ``s``, by one batched inverse iteration from unit v
-    (:func:`_iterate`) that stops each S as soon as its residual reaches
-    roundoff of the local scale.
+def _axis_system(a: np.ndarray, b: Bands, s) -> list[np.ndarray]:
+    """The stack of T(iS) = (A - alpha) - iS (B - beta), one block for every
+    S in ``s``, from the real diagonal a of A - alpha and the bands b of
+    B - beta.
 
     T(iS) = (A - alpha) + S m with m = -i (B - beta) is formed in place, in
     ?gttrf's flat layout (:func:`_system`).  The arithmetic is the
     pencil's: when every band of m is real (every band of B - beta is
     imaginary, as on the sine pencils at beta = 0), T(iS) is real;
-    otherwise every S runs in complex arithmetic.
+    otherwise every S is complex.
     """
     s, d = np.asarray(s, dtype=float)[:, None], a.size
     m = [-1j * x for x in b]
@@ -558,7 +584,15 @@ def _axis_pairs(a: np.ndarray, b: Bands, s, v: np.ndarray) -> list[SingularPair]
     for x, band in zip(S, m):
         np.multiply(s, band, out=_blocks(x, d)[: s.size, : band.size])
     _blocks(S[1], d)[: s.size] += a
-    return _iterate(S, v, a)
+    return S
+
+
+def _axis_pairs(a: np.ndarray, b: Bands, s, v: np.ndarray) -> list[SingularPair]:
+    """Smallest singular pair of T(iS) (:func:`_axis_system`) for every S in
+    ``s``, by one batched inverse iteration from unit v (:func:`_iterate`)
+    that stops each S as soon as its residual reaches roundoff of the local
+    scale."""
+    return _iterate(_axis_system(a, b, s), v, a)
 
 
 def eigenvector_at(problem: PencilProblem, s: float) -> tuple[AngularState, float]:
@@ -609,6 +643,76 @@ def _refine_root(a: np.ndarray, b: Bands, v: np.ndarray, lo: float, hi: float,
     return best[1], best[2]
 
 
+def _sigma_lower_bounds(lu: list[np.ndarray], k: int, d: int) -> np.ndarray:
+    """A lower bound lb <= sigma_min(T) for each of the first k blocks, of
+    order d, of the LU ``lu`` (:func:`_factor`) of T.
+
+    dgttrs runs on the comparison factors (-|dl|, |d|, -|du|, -|du2|, the
+    same pivots) with a right-hand side of ones, once with trans="N" and
+    once with "T".  Every term it adds is then nonnegative, and it applies
+    |L_i^{-1}| = M(L_i)^{-1} for each elementary factor of L and
+    M(U)^{-1} >= |U^{-1}| for the comparison matrix M(U) of U (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 8), so the
+    two solutions bound |T^{-1}| e and |T^{-1}|^T e entrywise from above.
+    Their largest entries in a block bound ||T^{-1}||_inf and ||T^{-1}||_1,
+    and lb = 1 / sqrt(||T^{-1}||_1 ||T^{-1}||_inf) <= 1 / ||T^{-1}||_2 =
+    sigma_min.  The comparison factors are real, for a complex LU too.  A
+    block whose solve overflows or meets a zero pivot gets lb = 0, which
+    excludes nothing.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    comparison = [-np.abs(lu[0]), np.abs(lu[1]), -np.abs(lu[2]), -np.abs(lu[3])]
+    gttrs = get_lapack_funcs("gttrs", (comparison[1],))
+    ones = np.ones(comparison[1].size)
+    n_inf, n_1 = (_blocks(gttrs(*comparison, lu[4], ones, trans=t)[0], d)[:k].max(axis=1) for t in "NT")
+    with np.errstate(divide="ignore"):
+        lb = 1.0 / np.sqrt(n_inf) / np.sqrt(n_1)
+    return np.where(np.isfinite(lb), lb, 0.0)
+
+
+def _absence_limits(a: np.ndarray, b: Bands, s: np.ndarray) -> np.ndarray:
+    """For each S in s, the least lower bound lb <= sigma_min(T(iS))
+    (:func:`_sigma_lower_bounds`) that proves that the sweep's inverse
+    iteration cannot certify at S.
+
+    Since T v = (A - alpha)v - iS (B - beta)v, the local scale of a unit v
+    is local <= sigma + 2 S ||B - beta||, so sigma <= SWEEP_RTOL * local
+    needs sigma <= tau = 2 SWEEP_RTOL S ||B - beta|| / (1 - SWEEP_RTOL),
+    and no unit v certifies once sigma_min > tau.  ||B - beta||_2 is taken
+    as sqrt(||B - beta||_1 ||B - beta||_inf) from the bands, and
+    t = max|a| + S ||B - beta|| bounds ||T||_2 and || |T| ||_2.
+
+    The limit is _ABSENCE_MARGIN tau + _FACTOR_ROUNDOFF t, which covers the
+    roundoff between lb and the computed certificate (u = 2^-53):
+    - The LU is exact for T + dT (Higham, ch. 9).  Under partial pivoting a
+      tridiagonal has multipliers |l| <= 1 and growth at most 2, so each
+      row and column of dT has at most four entries (with the fill of
+      du2), each at most 2u (|l| |u_kj| + |t_ij|) <= 6u max|t_ij|:
+      ||dT||_2 <= 24u t, and sigma_min(T) >= sigma_min(T + dT) - 24u t.
+    - The comparison solve adds and multiplies only nonnegative numbers, so
+      lb is exact to a relative 7du.
+    - The computed sigma = ||fl(T v)|| is within a relative du and an
+      absolute 3u t of ||T v||, and the computed local within a relative
+      (d + 3)u and an absolute 4u t, which the certificate multiplies by
+      SWEEP_RTOL.  A computed certificate then needs
+      sigma <= tau (1 + 3 (d + 3)u) + 4u t.
+    So lb > limit gives sigma_min(T) > tau by a factor of nearly 100 against
+    the relative errors (while d < 10^12), and by 256 eps t = 512u t >
+    (24 + 4)u t against the absolute ones, with an order of magnitude to
+    spare.
+    """
+    sub, main, sup = (np.abs(x) for x in b)
+    rows, cols = main.copy(), main.copy()
+    rows[1:] += sub
+    rows[:-1] += sup
+    cols[:-1] += sub
+    cols[1:] += sup
+    norm = math.sqrt(rows.max() * cols.max())
+    tau = 2.0 * SWEEP_RTOL * s * norm / (1.0 - SWEEP_RTOL)
+    return _ABSENCE_MARGIN * tau + _FACTOR_ROUNDOFF * (np.abs(a).max() + s * norm)
+
+
 def _sweep_pairs(a: np.ndarray, b: Bands) -> tuple[np.ndarray, list, np.ndarray]:
     """The eigenpairs (iS, v) on the imaginary axis, and a mask that is True
     for the grid certificates and False for the refined roots.
@@ -619,14 +723,42 @@ def _sweep_pairs(a: np.ndarray, b: Bands) -> tuple[np.ndarray, list, np.ndarray]
     Two adjacent uncertified points at which sign(det T(iS)) sigma / local
     has opposite signs (only a real T(iS) has a sign) bracket a root for
     :func:`_refine_root`.
+
+    A shift is excluded, and not iterated, when its lb <= sigma_min
+    (:func:`_sigma_lower_bounds`) exceeds its limit
+    (:func:`_absence_limits`).  The first shift is bounded on its own LU
+    of one block.  Where it is not excluded (the circle's integers, say)
+    every shift iterates; where it is, the stack is factored once, the
+    sign of det T(iS) and lb of every shift are read off it, and the
+    shifts within their limit and both ends of every sign change of det T
+    iterate.  An excluded shift is uncertified and never ends a bracket
+    (its neighbors' determinants have its sign or none), and a shift that
+    iterates gets the pair it gets when every shift iterates, since a
+    block's pair does not depend on the other blocks of the call.  So the
+    result has the same bits as without the bound.
     """
     s = np.linspace(S_WINDOW[0], S_WINDOW[1], SWEEP_POINTS)
-    v = _start_vector(a.size)
-    pairs = _axis_pairs(a, b, s, v)
-    sigma = np.array([p.sigma for p in pairs])
-    local = np.array([p.local for p in pairs])
-    certified = sigma <= SWEEP_RTOL * local
-    f = np.array([p.sign for p in pairs]) * sigma / local
+    k, d = s.size, a.size
+    v = _start_vector(d)
+    S = _axis_system(a, b, s)
+    limit = _absence_limits(a, b, s)
+    sign, out = np.zeros(k), np.zeros(k, dtype=bool)
+    if _sigma_lower_bounds(_factor(_select(S, np.arange(1), d)), 1, d)[0] > limit[0]:
+        lu = _factor(S)
+        sign = _signs(lu, k, d)
+        out = _sigma_lower_bounds(lu, k, d) > limit
+        change = sign[:-1] * sign[1:] < 0
+        out[:-1] &= ~change
+        out[1:] &= ~change
+    run = np.flatnonzero(~out)
+    ran = _iterate(_select(S, run, d) if out.any() else S, v, a) if run.size else []
+    pairs = dict(zip(run.tolist(), ran))
+    sigma = np.array([pairs[j].sigma for j in run])
+    local = np.array([pairs[j].local for j in run])
+    certified = np.zeros(k, dtype=bool)
+    certified[run] = sigma <= SWEEP_RTOL * local
+    f = sign.copy()  # an excluded shift's f has the sign of its determinant
+    f[run] = np.array([pairs[j].sign for j in run]) * sigma / local
     ends = np.flatnonzero(~certified[:-1] & ~certified[1:] & (f[:-1] * f[1:] < 0))
     roots = [_refine_root(a, b, v, s[j], s[j + 1], f[j], f[j + 1]) for j in ends]
     grid = np.flatnonzero(certified)

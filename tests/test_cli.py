@@ -404,7 +404,7 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, command, option, content
         ["pencil", "--family", "circle", "--alpha", "nan"],
         # beyond M/2: rejected before the grid of 2e17 points is built
         ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "1e17", "--alpha-step", "0.5"],
-        # a grid of 4e17 points: its allocation (beyond any address space) fails at once
+        # a grid of 4e17 points: over MAX_GRID_POINTS, rejected before it is built
         ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "4", "--alpha-step", "1e-17"],
         # a subnormal step: (max - min) / step overflows to inf
         ["scan", "--family", "circle", "--alpha-min", "-1", "--alpha-max", "1", "--alpha-step", "1e-320"],
@@ -424,6 +424,32 @@ def test_bad_pencil_inputs_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one point over the cap: a grid that is cheap to build, so the
+        # check, not the allocation, must reject it
+        ["scan", "--family", "circle", "--alpha-min", "0", "--alpha-max", "1", "--alpha-step", "1e-5"],
+        ["f-scan", "--t-count", "100001"],
+    ],
+    ids=["scan", "f-scan"],
+)
+def test_grid_over_the_point_cap_exits_2(monkeypatch, capsys, argv):
+    # a scan at --alpha-step 1e-9 (1e9 + 1 points, 8 GB) was killed by the
+    # kernel before any check ran; a grid over MAX_GRID_POINTS now exits 2
+    # before it is allocated, and nothing is solved
+    from packetlab import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid should have been rejected")
+
+    monkeypatch.setattr(cli.pencil_mod, "quantization_scan", unreachable)
+    monkeypatch.setattr(cli.variational, "f_table", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(cli.MAX_GRID_POINTS) in err
 
 
 @pytest.mark.parametrize(

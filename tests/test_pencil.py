@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -101,6 +102,31 @@ def test_eigenvector_at_certifies_css():
     # off the spectrum nothing certifies
     _, resid = pl.eigenvector_at(pl.circle_problem(0.5, M=64), 1.5)
     assert resid > 1e-6
+
+
+# sha256 of the vector's bytes then sigma's, as numpy 2.4.6 with OpenBLAS
+# 0.3.31 on x86-64 computes them; a BLAS with another summation order in its
+# dot kernel may move the last bits
+EIGENVECTOR_AT_SHA256 = {
+    (-3, 0.25): "77f2a6950152949f231ddac80f3a5202c1a5bbe32d01e787ac64eb7b00cf8e9c",
+    (-3, 1.7): "b641d486f0a2e64f29ec08d06124999fcf0404f4b5754b31a07ee30ffaf5e6ec",
+    (-3, 4.0): "dd5550e98bc13879639c0db770e6b80af9f68a8de99d989d11cf0a476384964f",
+    (0, 0.25): "cb8edb71f7275bf47961926976fbc9ff8ad3e6f8527bc3d94794f22d1162da64",
+    (0, 1.7): "e3947b5a83c65f10d314fa8e4ffbf54fbc9dc50f5c0e5db7a141bc0b8125ff10",
+    (0, 4.0): "5d254e965167090b7a926dc0e74cdd9a296f919803aca782f94bc6a7ede66f53",
+    (2, 0.25): "ef990f4e963e20e273e36bc7b28a4159731b5854f218f4187e9d7f2578e28954",
+    (2, 1.7): "43a37d0e6e86e3a4776b559fc32e99e4900919936be1d622fe3ba43f1369a2c4",
+    (2, 4.0): "9b61643f37e16050aa90e4fbaa19e4ebf799ca5d7a94da46f494b5cefeeaf489",
+}
+
+
+@pytest.mark.parametrize("ell, S", sorted(EIGENVECTOR_AT_SHA256))
+def test_eigenvector_at_bits_unchanged(ell, S):
+    # the single-shift path that the states benchmark checks against
+    # css_state: a change to the sweep must leave its bits alone
+    vec, sigma = pl.eigenvector_at(pl.circle_problem(float(ell), M=64), S)
+    digest = hashlib.sha256(vec.coeffs.tobytes() + np.float64(sigma).tobytes()).hexdigest()
+    assert digest == EIGENVECTOR_AT_SHA256[ell, S]
 
 
 def test_eigenvector_at_far_and_non_finite_s():
@@ -318,6 +344,100 @@ def test_pencil_pairs_independent_of_batch(family, alpha):
     qz = qz_eigenvalues(problem, a, b)[:12]
     for lam, p in zip(qz, complex_pencil_pairs(a, b, qz, v0)):
         same(p, complex_pencil_pairs(a, b, [lam], v0)[0])
+
+
+def _sweep_bounds(family, alpha, beta, M):
+    """s, the absence bound lb of every sweep shift and its limit."""
+    a, b = pp._family_problem(family, alpha, beta, M).bands()
+    s = np.linspace(pp.S_WINDOW[0], pp.S_WINDOW[1], pp.SWEEP_POINTS)
+    lb = pp._sigma_lower_bounds(pp._factor(pp._axis_system(a, b, s)), s.size, a.size)
+    return s, lb, pp._absence_limits(a, b, s)
+
+
+@pytest.mark.parametrize("family", ["circle", "oscillator"])
+@pytest.mark.parametrize("M", [32, 64])
+def test_absence_bound_is_a_bound(family, M):
+    # every shift's lb lies below the dense sigma_min of T(iS), in real
+    # arithmetic at beta = 0 and in complex at beta = 0.2
+    for beta in (0.0, 0.2):
+        for alpha in (0.37, 0.5, 0.999, 0.999999, 1.0, 2.6, 3.0):
+            s, lb, _ = _sweep_bounds(family, alpha, beta, M)
+            Aef, Bef = shifted(pp._family_problem(family, alpha, beta, M))
+            T = Aef[None] - 1j * s[:, None, None] * Bef[None]
+            # the dense sigma_min is exact to a small multiple of eps ||T||,
+            # all it resolves at an integer alpha
+            sv = np.linalg.svd(T, compute_uv=False)
+            assert np.all(lb <= sv[:, -1] + 64 * np.finfo(float).eps * sv[:, 0]), (alpha, beta)
+            assert np.all(lb >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "family, alpha, beta, M, excluded, iterated",
+    [
+        ("circle", 0.37, 0.0, 128, 80, 0), ("circle", 0.5, 0.0, 128, 80, 0),
+        ("circle", 0.5, 0.2, 128, 80, 0), ("oscillator", 0.5, 0.0, 64, 80, 2),
+        ("oscillator", 1.0, 0.0, 64, 80, 0), ("oscillator", 2.6, 0.0, 64, 80, 2),
+        ("circle", 0.999, 0.0, 64, 74, 6), ("circle", 0.999999, 0.0, 64, 42, 38),
+        ("circle", 0.0, 0.0, 128, 0, 80), ("circle", 1.0, 0.0, 128, 0, 80),
+        ("circle", 2.0, 0.0, 128, 0, 80),
+    ],
+)
+def test_absence_bound_exclusion_counts(monkeypatch, family, alpha, beta, M, excluded, iterated):
+    # the shifts whose lb beats its limit, and the blocks that the sweep
+    # then iterates: the others, plus both ends of a sign change of
+    # det T(iS) (oscillator 0.5 and 2.6 have one, where their branch root
+    # lies, and a refined root iterates one block per step after them)
+    _, lb, limit = _sweep_bounds(family, alpha, beta, M)
+    assert int(np.count_nonzero(lb > limit)) == excluded
+    blocks = []
+    iterate = pp._iterate
+
+    def spy(S, v, a=None):
+        blocks.append((S[1].size - 2) // v.size)
+        return iterate(S, v, a)
+
+    monkeypatch.setattr(pp, "_iterate", spy)
+    pp._sweep_pairs(*pp._family_problem(family, alpha, beta, M).bands())
+    assert blocks[:1] == ([iterated] if iterated else [])
+
+
+@pytest.mark.parametrize(
+    "family, alphas",
+    [("circle", (0.5, 1.0, 0.999, 0.999999, 2.0)), ("oscillator", (0.5, 0.999999, 2.6, 3.0, 4.0))],
+)
+def test_absence_bound_keeps_every_bit(monkeypatch, family, alphas):
+    # with the margin at infinity nothing is excluded and every shift
+    # iterates; the sweep returns the same eigenvalues, masks and pairs
+    for M in (32, 64):
+        for beta in (0.0, 0.2):
+            for alpha in alphas:
+                a, b = pp._family_problem(family, alpha, beta, M).bands()
+                fast = pp._sweep_pairs(a, b)
+                with monkeypatch.context() as m:
+                    m.setattr(pp, "_ABSENCE_MARGIN", math.inf)
+                    full = pp._sweep_pairs(a, b)
+                assert np.array_equal(fast[0], full[0]) and np.array_equal(fast[2], full[2])
+                for p, q in zip(fast[1], full[1], strict=True):
+                    assert (p.sigma, p.steps, p.nudges, p.converged, p.sign, p.local) == (
+                        q.sigma, q.steps, q.nudges, q.converged, q.sign, q.local)
+                    assert p.vector.dtype == q.vector.dtype and p.vector.tobytes() == q.vector.tobytes()
+
+
+def test_absence_bound_of_a_singular_block():
+    # a zero pivot makes the comparison solve divide by zero: lb = 0, which
+    # excludes nothing, and no RuntimeWarning (pyproject.toml makes it an
+    # error); the NaN that a zero coupling makes of the infinity can take
+    # the bound of the blocks next to it too, which again excludes nothing
+    d = 5
+    main = np.ones((3, d))
+    main[1, 2] = 0.0
+    sub, sup = np.zeros((3, d - 1)), np.zeros((3, d - 1))
+    for dtype in (float, complex):
+        S = pp._stack(sub.astype(dtype), main.astype(dtype), sup.astype(dtype))
+        lb = pp._sigma_lower_bounds(pp._factor(S), 3, d)
+        assert lb[1] == 0.0 and np.all((lb == 0.0) | (lb == 1.0))
+        for j, want in enumerate((1.0, 0.0, 1.0)):
+            assert pp._sigma_lower_bounds(pp._factor(pp._select(S, np.array([j]), d)), 1, d)[0] == want
 
 
 @pytest.mark.parametrize("k", [515, 600, 1000, -600, -1000])
